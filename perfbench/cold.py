@@ -2,13 +2,15 @@
 
     python3 perfbench/cold.py setup
         Time from before `import leibniz_lab` to the end of the first call
-        that imports sympy (a canonical decomposition).
+        that imports sympy (a canonical decomposition), then a burst of
+        speed probes.
     python3 perfbench/cold.py tables [--trace FILE]
         One pass of the tables workload, 14 steps: classify --verify
         --format json for dims 4..8 and both solvable tables, each followed
         by a formats round trip of the emitted table; match-paper for dims
         4..7 (all through cli.main in-process); distinctness_report for
-        dims 4..6.
+        dims 4..6.  A burst of speed probes runs before the first step and
+        after each step, outside the step's time.
 
 Prints one JSON object on stdout.
 """
@@ -34,6 +36,11 @@ CLASSIFY = [
 ]
 MATCH = [(f"match-dim{n}", ["match-paper", "--dim", str(n)]) for n in range(4, 8)]
 DISTINCT = range(4, 7)
+PROBES_PER_STEP = 5
+# Probes after the timed set-up, on the core that did it while it is still
+# busy: probes taken by the parent around the child, after it sat idle in
+# wait(), ran slow and made the scaled set-up time spread more than the raw.
+SETUP_PROBES = 9
 
 
 def setup():
@@ -45,7 +52,9 @@ def setup():
     elapsed = perf_counter() - start
     if "sympy" not in sys.modules:
         raise SystemExit("the first decomposition did not import sympy")
-    return {"setup_s": elapsed}
+    import speed  # after the timed part: its imports are not set-up work
+
+    return {"setup_s": elapsed, "probes": speed.burst(SETUP_PROBES)}
 
 
 def _cli(lab, argv):
@@ -58,6 +67,8 @@ def _cli(lab, argv):
 
 
 def tables(trace_path=None):
+    import speed
+
     lab = program.load()
     tracer = None
     if trace_path:
@@ -67,6 +78,7 @@ def tables(trace_path=None):
         tracer.install(lab)
         tracer.on = True
     steps = []  # [name, seconds, ok]
+    probes = [speed.burst(PROBES_PER_STEP)]  # before step 0, then after each step
     outputs = {}
 
     def step(name, fn):
@@ -79,6 +91,7 @@ def tables(trace_path=None):
             ok = False
         steps.append([name, perf_counter() - t, ok])
         outputs[name] = out
+        probes.append(speed.burst(PROBES_PER_STEP))
 
     formats = lab["formats"]
 
@@ -98,6 +111,7 @@ def tables(trace_path=None):
         step(f"distinct-dim{n}", lambda n=n: lab["classify"].distinctness_report(n).to_json())
     out = {
         "steps": steps,
+        "probes": probes,
         "outputs": outputs,
         "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }

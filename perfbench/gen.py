@@ -1,6 +1,8 @@
 """Seeded query inputs for the congruence and isomorphism workloads.
 
-Every input is built from the run's random.Random, so one seed gives one
+Every input is built from the run's random.Random and from fixed sequences
+that are the same for every seed (the block shapes of the integer workload,
+the entries and dense matrices of the iso workload), so one seed gives one
 sequence of inputs.  Inputs never repeat within a run (the pencil module
 caches per matrix), and each round has the same make-up: the same sizes,
 the same split between singular and regular pencils, the same pair kinds.
@@ -23,9 +25,13 @@ ISO_DIMS = range(4, 9)
 # Dense basis changes per round, by dimension.  They cost 0.1-0.5 s per
 # query at dims 4-5, 0.4-1.5 s at dim 6 and 1-6 s beyond, so larger ones
 # would leave too few queries in a run for steady figures.  Three at dim 5
-# make the slowest fifth of a round, which puts op_p90_ms inside one
-# cluster of similar queries instead of on the edge between two.
-ISO_DENSE = {4: 1, 5: 3}
+# make the slowest fifth of a round and three at dim 4 the middle fifth,
+# which puts op_p90_ms and op_p50_ms each inside one cluster of similar
+# queries instead of on the edge between two.
+ISO_DENSE = {4: 3, 5: 3}
+# Entries per dimension and pair kind (pairs of entries for "distinct"):
+# each slot of a round takes them in turn.
+ISO_CYCLE = 2
 # Constants for the parameters of table entries in "basis" and "distinct" pairs.
 ISO_BINDING = {"c": G(3), "c1": G(2), "c2": G(-3), "c3": G(5)}
 
@@ -59,21 +65,20 @@ def _gaussian_param(rng):
     return G(re, im)
 
 
-def random_blocks(rng, size, singular, param):
-    """(kind, size, G|None) blocks of total size `size`; with an A block
-    exactly when `singular`, and never only A1 blocks (the zero matrix)."""
+def random_template(rng, size, singular):
+    """(kind, size) blocks of total size `size`; with an A block exactly
+    when `singular`, and never only A1 blocks (the zero matrix)."""
     while True:
-        blocks = []
+        template = []
         left = size
         while left:
             part = rng.randint(1, left)
-            kind = rng.choice(_kinds(part, singular))
-            blocks.append((kind, part, param(rng) if kind == "B" else None))
+            template.append((rng.choice(_kinds(part, singular)), part))
             left -= part
-        has_a = any(k == "A" for k, _, _ in blocks)
-        only_a1 = all((k, s) == ("A", 1) for k, s, _ in blocks)
+        has_a = any(k == "A" for k, _ in template)
+        only_a1 = all(shape == ("A", 1) for shape in template)
         if has_a == singular and not only_a1:
-            return blocks
+            return tuple(template)
 
 
 def _partitions(m, largest=None):
@@ -112,6 +117,8 @@ class Congruence:
         self.lab = lab
         self.gaussian = gaussian
         self.seen = set()
+        # Block shapes of the integer workload, one fixed sequence for every seed.
+        self.shapes = random.Random("congruence shapes")
 
     def _program_blocks(self, blocks):
         CanonicalBlock = self.lab["blocks"].CanonicalBlock
@@ -130,14 +137,15 @@ class Congruence:
             rows.append(tuple(Scalar.const(QI(d.re, d.im)) if j == i else zero for j in range(n)))
         return tuple(rows)
 
-    def query(self, rng, size, singular, template=None):
+    def query(self, rng, size, singular, template):
         lab = self.lab
         param = _gaussian_param if self.gaussian else _int_param
-        for _ in range(1000):
-            if template is None:
-                blocks = random_blocks(rng, size, singular, param)
-            else:
-                blocks = [(k, s, param(rng) if k == "B" else None) for k, s in template]
+        for draw in range(1000):
+            if draw and draw % 10 == 0:
+                # A small shape without B blocks has few congruent forms
+                # with small S, and a long run can use them all up.
+                template = random_template(rng, size, singular)
+            blocks = [(k, s, param(rng) if k == "B" else None) for k, s in template]
             M = lab["blocks"].direct_sum_matrix(self._program_blocks(blocks))
             S = lab["iso"].random_invertible_matrix(size, rng)
             if self.gaussian:
@@ -156,9 +164,12 @@ class Congruence:
     def round(self, rng):
         """Integer: one random block multiset per size 2..9 and pencil type
         (singular from size 3); there are 1189 multisets up to size 9, more
-        than a run holds.  Gaussian: every multiset of size 2..5 once, since
-        the cost of a Gaussian query swings 100-fold with its blocks and
-        fixed templates keep the rounds alike."""
+        than a run holds.  The multisets come from one fixed sequence, the
+        same for every seed, so runs of equal length decompose the same
+        shapes and differ in the B parameters and in S; with shapes drawn
+        from the seed, wall_s spread by 0.14 between seeds.  Gaussian: every
+        multiset of size 2..5 once, since the cost of a Gaussian query swings
+        100-fold with its blocks and fixed templates keep the rounds alike."""
         if self.gaussian:
             plan = [
                 (s, any(k == "A" for k, _ in t), t)
@@ -166,16 +177,22 @@ class Congruence:
                 for t in block_templates(s)
             ]
         else:
-            plan = [(s, False, None) for s in INT_SIZES]
-            plan += [(s, True, None) for s in INT_SIZES if s >= 3]
+            plan = [
+                (s, sing, random_template(self.shapes, s, sing))
+                for sing in (False, True)
+                for s in INT_SIZES
+                if s >= 3 or not sing
+            ]
         rng.shuffle(plan)
         return [self.query(rng, s, sing, t) for s, sing, t in plan]
 
 
-def _signed_permutation(lab, rng, n):
+def _signed_permutation(lab, rng, n, permute=True):
+    """A random signed permutation matrix; a random +-1 diagonal when not `permute`."""
     Scalar = lab["scalars"].Scalar
     perm = list(range(n))
-    rng.shuffle(perm)
+    if permute:
+        rng.shuffle(perm)
     return tuple(
         tuple(
             Scalar.rational(rng.choice((-1, 1))) if j == perm[i] else Scalar.rational(0)
@@ -195,10 +212,16 @@ class Iso:
       reciprocal  an entry at constants c against the same entry at 1/c,
                   dims 4..8: isomorphic
 
-    Entries come in one fixed order per dimension and kind, the same for
-    every seed: the cost of a query depends mostly on its entry, so runs of
-    equal length check the same entries and differ in P, the constants and
-    the permutations only.
+    The cost of a query depends mostly on its entries and, for a basis
+    pair, on P: it swings seven-fold with P (70-500 ms at dim 5).  A run
+    holds only 70-130 queries, and with entries and P drawn afresh in every
+    round op_p50_ms and op_p90_ms moved by 0.1-0.2 with the seed and with
+    the number of rounds that fitted in the run.  So each slot of a round
+    takes ISO_CYCLE entries in turn, the same for every seed, and each
+    basis slot keeps one fixed dense matrix, times a +-1 diagonal drawn
+    from the seed (a signed permutation there still moved the cost by
+    up to four-fold).  The seed draws those signs, the permutations of
+    the distinct pairs and the constants of the reciprocal pairs.
     """
 
     def __init__(self, lab):
@@ -211,7 +234,7 @@ class Iso:
         table = self.tables[n]
         if kind == "reciprocal":
             table = [e for e in table if e.algebra.parameters()]
-        order = random.Random(n).sample(table, len(table))
+        order = random.Random(n).sample(table, len(table))[: ISO_CYCLE * count]
         k = self.next.get((n, kind), 0)
         self.next[(n, kind)] = k + 1
         return [order[(k * count + j) % len(order)] for j in range(count)]
@@ -235,7 +258,9 @@ class Iso:
         if kind == "basis":
             (entry,) = self._entries(n, kind, 1)
             A = self._bind(entry, ISO_BINDING)
-            P = lab["iso"].random_invertible_matrix(n, rng)
+            slot = self.next[(n, kind)] % ISO_DENSE[n]
+            dense = lab["iso"].random_invertible_matrix(n, random.Random(f"basis {n} {slot}"))
+            P = lab["linalg"].mat_mul(dense, _signed_permutation(lab, rng, n, permute=False))
             return entry, entry, A, cob(A, P), True, P
         if kind == "distinct":
             ea, eb = self._entries(n, kind, 2)

@@ -14,6 +14,10 @@ Every answer is checked by oracle.py, which shares no code with leibniz_lab.
 The last line of stdout is one JSON object: correct, attempted, failed and
 metrics (the end-to-end metrics with --trace 0, the per-layer ones with
 --trace 1).  A summary for people goes to stderr.
+
+Timings with --trace 0 are scaled to a reference machine speed read from
+probes taken between the timed operations (speed.py); the stderr summary
+also gives the raw op_p50 and the median probe time.
 """
 
 from __future__ import annotations
@@ -33,11 +37,12 @@ import gen
 import oracle
 import program
 import spans
+import speed
 
 HERE = Path(__file__).resolve().parent
 RESULTS = HERE / "results"
 WORKLOADS = ("tables", "congruence-int", "congruence-gaussian", "iso")
-SETUP_RUNS = 3
+SETUP_RUNS = 5
 # A run may take 180 s: no round starts after LAST_ROUND_S, and a cold
 # pass still running at DEADLINE_S is killed.
 LAST_ROUND_S = 120
@@ -59,9 +64,16 @@ def run_cold(args, timeout):
 
 
 def measure_setup():
-    """Median over SETUP_RUNS cold processes, after one that writes bytecode."""
+    """Median over SETUP_RUNS cold processes, after one that writes bytecode;
+    each scaled by the probes it ran right after its set-up.  Returns the
+    scaled median and the raw one."""
     run_cold(["setup"], 20)
-    return statistics.median(run_cold(["setup"], 20)["setup_s"] for _ in range(SETUP_RUNS))
+    raw, scaled = [], []
+    for _ in range(SETUP_RUNS):
+        res = run_cold(["setup"], 20)
+        raw.append(res["setup_s"])
+        scaled.append(speed.scale(res["setup_s"], res["probes"]))
+    return statistics.median(scaled), statistics.median(raw)
 
 
 def quantile_ms(values, q):
@@ -105,7 +117,7 @@ def check_tables(outputs, steps_ok, rng):
 
 def run_tables(seed, stop_at, trace, deadline):
     rng = random.Random(seed)
-    walls, step_s, rss = [], [], []
+    walls, raw_walls, pass_steps, rss = [], [], [], []
     attempted = failed = 0
     fails, checked = [], set()
     totals, units = {}, []
@@ -115,15 +127,25 @@ def run_tables(seed, stop_at, trace, deadline):
             args += ["--trace", str(RESULTS / f"trace-tables-pass{len(walls)}.tsv")]
         t = perf_counter()
         res = run_cold(args, deadline - t)
-        walls.append(perf_counter() - t)
+        bursts = res["probes"]  # before step 0, then after each step
+        wall = perf_counter() - t - sum(p for b in bursts for p in b)
+        raw_walls.append(wall)
         rss.append(res["rss_mb"])
+        # Each step is scaled by the bursts around it; the rest of the pass
+        # (interpreter start, imports) by the first burst.
+        scaled_wall = speed.scale(wall - sum(sec for _, sec, _ in res["steps"]), bursts[0])
+        step_s = []
         steps_ok = {}
-        for name, sec, ok in res["steps"]:
+        for i, (name, sec, ok) in enumerate(res["steps"]):
             attempted += 1
             failed += not ok
             steps_ok[name] = ok
+            scaled = speed.scale(sec, bursts[i] + bursts[i + 1])
+            scaled_wall += scaled
             if ok:
-                step_s.append(sec)
+                step_s.append(scaled)
+        walls.append(scaled_wall)
+        pass_steps.append(step_s)
         key = json.dumps(res["outputs"], sort_keys=True)
         if key not in checked:  # identical output, identical verdict
             checked.add(key)
@@ -133,7 +155,7 @@ def run_tables(seed, stop_at, trace, deadline):
         units += res.get("pencil_units", [])
         if perf_counter() >= stop_at:
             break
-    summary = {"passes": len(walls), "pass_wall_s": [round(w, 3) for w in walls]}
+    summary = {"passes": len(walls), "raw_pass_wall_s": [round(w, 3) for w in raw_walls]}
     if trace:
         sides = ([], [])
         for text_rows, dur in units:
@@ -141,11 +163,15 @@ def run_tables(seed, stop_at, trace, deadline):
         summary["pencil_calls_singular_share"] = len(sides[0]) / max(1, len(units))
         metrics = spans.per_layer_metrics(totals, len(walls), *sides)
     else:
+        # Step latencies are 14 different steps, so quantiles are taken per
+        # pass and their median reported: pooled over 2 or 3 passes, the
+        # 90th percentile fell between different steps and spread by 0.12.
+        every_step = [s for steps in pass_steps for s in steps]
         metrics = {
             "wall_s": (statistics.median(walls), "s"),
-            "ops_per_s": (len(step_s) / sum(step_s), "1/s"),
-            "op_p50_ms": (statistics.median(step_s) * 1000, "ms"),
-            "op_p90_ms": (quantile_ms(step_s, 90), "ms"),
+            "ops_per_s": (len(every_step) / sum(every_step), "1/s"),
+            "op_p50_ms": (statistics.median(statistics.median(p) for p in pass_steps) * 1000, "ms"),
+            "op_p90_ms": (statistics.median(quantile_ms(p, 90) for p in pass_steps), "ms"),
             "peak_rss_mb": (max(rss), "MB"),
         }
     return attempted, failed, fails, metrics, summary
@@ -206,14 +232,14 @@ def run_queries(lab, workload, seed, stop_at, tracer):
     else:
         source = gen.Congruence(lab, gaussian=workload == "congruence-gaussian")
         answer, check = congruence_answer, check_congruence
-    latencies, round_s = [], []
+    raw, ok, probes, round_of = [], [], [], []  # one entry per attempt
+    n_rounds = 0
     attempted = failed = 0
     fails = []
     mix = {"singular": 0, "integer": 0}
     while True:
         queries = source.round(rng)
         done = []
-        busy = 0.0
         for q in queries:
             if tracer:
                 tracer.query = (attempted, q.singular)
@@ -226,28 +252,39 @@ def run_queries(lab, workload, seed, stop_at, tracer):
             dt = perf_counter() - t
             if tracer:
                 tracer.on = False
+            else:
+                probes.append(speed.probe())
             attempted += 1
-            busy += dt
+            raw.append(dt)
+            round_of.append(n_rounds)
             if isinstance(ans, Exception):
+                ok.append(False)
                 failed += 1
                 print(f"failed: {q.kind} size {q.size}: {ans!r}", file=sys.stderr)
                 continue
-            latencies.append(dt)
+            ok.append(True)
             done.append((q, ans))
-        round_s.append(busy)
         for q, ans in done:
             fails += check(q, ans)
             mix["singular"] += q.singular
             mix["integer"] += _integer_entries(q)
+        n_rounds += 1
         if perf_counter() >= stop_at:
             break
+    scaled = raw if tracer else speed.scale_series(raw, probes)
+    latencies = [s for s, good in zip(scaled, ok) if good]
+    round_s = [0.0] * n_rounds
+    for s, r in zip(scaled, round_of):
+        round_s[r] += s
     summary = {
-        "rounds": len(round_s),
+        "rounds": n_rounds,
         "queries": attempted,
         "singular_share": mix["singular"] / attempted,
         "integer_entry_share": mix["integer"] / attempted,
-        "op_p50_ms": statistics.median(latencies) * 1000,
+        "raw_op_p50_ms": statistics.median(d for d, good in zip(raw, ok) if good) * 1000,
     }
+    if probes:
+        summary["probe_p50_ms"] = statistics.median(probes) * 1000
     if tracer:
         sides = ([], [])
         for flag, sec in tracer.pencil_seconds_by_query():
@@ -284,7 +321,9 @@ def main(argv=None):
     start = perf_counter()
 
     lab = program.load()  # exits with status 2 when the checkout has no sources
-    setup_s = None if args.trace else measure_setup()
+    setup_s = raw_setup_s = None
+    if not args.trace:
+        setup_s, raw_setup_s = measure_setup()
     last_round = start + LAST_ROUND_S
     if args.workload == "tables":
         stop_at = min(perf_counter() + args.seconds, last_round)
@@ -305,6 +344,7 @@ def main(argv=None):
             tracer.write(RESULTS / f"trace-{args.workload}.tsv")
     if setup_s is not None:
         metrics["setup_s"] = (setup_s, "s")
+        summary["raw_setup_s"] = raw_setup_s
         metrics = {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}
     summary["run_s"] = round(perf_counter() - start, 2)
     for f in fails[:20]:
