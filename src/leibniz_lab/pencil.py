@@ -4,10 +4,14 @@ Two square matrices over an algebraically closed field of characteristic 0
 are congruent exactly when their pencils t*M + u*M^T are strictly
 equivalent, so the pencil's Kronecker data (minimal indices, finite and
 infinite elementary divisors) fingerprints the congruence class.  Everything
-here is computed exactly: Smith normal form over the univariate polynomial
-ring for divisors, rank sequences of expansion matrices for minimal indices,
-and a resolvent shortcut for regular pencils.  sympy supplies exact
-factorization over Q(i), optionally with formal parameters.
+here is computed exactly.  A constant matrix is scaled to Gaussian integers
+and goes through one fraction-free engine: minimal indices from the ranks of
+expansion matrices, divisor roots from a gcd of maximal minors, and divisor
+exponents from the ranks of jet matrices at each root, every rank over Q(i)
+taken as half the integer rank of the realification.  The polynomial Smith
+form decides parametric matrices and divisors that do not split over Q(i).
+sympy supplies exact factorization over Q(i), optionally with formal
+parameters.
 """
 
 from __future__ import annotations
@@ -16,12 +20,16 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, gcd, lcm
 
 from .blocks import CanonicalBlock, canonical_block_matrix, normalize_blocks
 from .errors import DictionaryMiss, ParameterNotSupported
-from .linalg import inverse as mat_inverse
 from .linalg import mat_mul, rank as mat_rank, transpose
 from .scalars import QI, QI_ONE, QI_ZERO, Scalar
+
+# Entries kept by each cache in this module: bounds the memory of a
+# long-running process that sees many distinct matrices.
+_CACHE_SIZE = 4096
 
 def _sympy_t():
     import sympy
@@ -260,7 +268,7 @@ def _sympy_to_qi(expr) -> QI:
     return QI(Fraction(int(re_.p), int(re_.q)), Fraction(int(im_.p), int(im_.q)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _factor_qi_coeffs(coeffs):
     """Factor a monic UPoly over Q(i): tuple of (coeff tuple, exponent)."""
     import sympy
@@ -352,51 +360,53 @@ def _factor_scalar_upoly(p: UPoly):
 
 
 # ---------------------------------------------------------------------------
-# Integer fast paths (Bareiss fraction-free elimination)
+# Integer polynomials and fraction-free elimination
 # ---------------------------------------------------------------------------
-def _try_int_matrix(Q):
-    """Plain-integer rows when every entry is a rational integer, else None."""
-    out = []
-    for row in Q:
-        ints = []
-        for x in row:
-            if x.im or x.re.denominator != 1:
-                return None
-            ints.append(x.re.numerator)
-        out.append(ints)
-    return out
+def _int_poly_content(p):
+    g = 0
+    for c in p:
+        g = gcd(g, abs(c))
+    return g or 1
 
 
-def _bareiss_rank_int(m):
-    m = [row[:] for row in m]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
+def _int_poly_primitive(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    if not p:
+        return p
+    g = _int_poly_content(p)
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
+
+
+def _int_poly_gcd(a, b):
+    """gcd of integer polynomials (primitive PRS), primitive positive lead."""
+    a, b = _int_poly_primitive(a), _int_poly_primitive(b)
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        # pseudo-remainder of a by b
+        r = list(a)
+        lead = b[-1]
+        while len(r) >= len(b):
+            while r and not r[-1]:
+                r.pop()
+            if len(r) < len(b):
                 break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            if mic or pv != prev:
-                row_i = m[i]
-                row_r = m[r]
-                for j in range(c + 1, ncols):
-                    row_i[j] = (pv * row_i[j] - mic * row_r[j]) // prev
-                row_i[c] = 0
-        prev = pv
-        r += 1
-        if r == nrows:
-            break
-    return r
+            top = r[-1]
+            off = len(r) - len(b)
+            r = [lead * c for c in r]
+            for j, y in enumerate(b):
+                r[off + j] -= top * y
+            r.pop()
+        a, b = b, _int_poly_primitive(r)
+    return _int_poly_primitive(a)
 
 
 def _bareiss_det_int(m):
@@ -429,72 +439,110 @@ def _bareiss_det_int(m):
     return sign * prev
 
 
-def _int_rows_to_qi(m):
-    return tuple(tuple(QI(x) for x in row) for row in m)
+def _rank_int(m):
+    """(rank, pivot row indices, pivot column indices) of an integer matrix.
+
+    Fraction-free elimination: a row with a nonzero entry x in the pivot
+    column becomes pv*row - x*pivot_row divided by its content, and the
+    other rows are left alone.  Rows are only ever scaled by nonzero
+    integers, so the pivots are those of elimination over Q.
+    """
+    m = [list(row) for row in m]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    order = list(range(nrows))
+    cols = []
+    for c in range(ncols):
+        r = len(cols)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        order[r], order[piv] = order[piv], order[r]
+        pv = m[r][c]
+        top = m[r][c + 1 :]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            x = row[c]
+            if x:
+                tail = [pv * a - x * b for a, b in zip(row[c + 1 :], top)]
+                g = gcd(*tail)
+                if g > 1:
+                    tail = [a // g for a in tail]
+                row[c:] = [0] + tail
+        cols.append(c)
+        if len(cols) == nrows:
+            break
+    return len(cols), order[: len(cols)], cols
 
 
-def _mat_mul_int(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+# ---------------------------------------------------------------------------
+# Gaussian integer matrices: pairs (real rows, imaginary rows) of int lists
+# ---------------------------------------------------------------------------
+def _gaussian_int_matrix(Q):
+    """c*Q as a Gaussian integer matrix, c the lcm of the entry denominators.
+
+    t*cM + u*cM^T = c(t*M + u*M^T), so every pencil invariant is unchanged.
+    """
+    c = lcm(*(f.denominator for row in Q for x in row for f in (x.re, x.im)))
+    re = [[x.re.numerator * (c // x.re.denominator) for x in row] for row in Q]
+    im = [[x.im.numerator * (c // x.im.denominator) for x in row] for row in Q]
+    return re, im
 
 
-def _charpoly_int(N, n):
-    """Faddeev-LeVerrier over the integers (coefficients are exact)."""
-    cs = []
-    Mk = N
-    for k in range(1, n + 1):
-        tr = sum(Mk[i][i] for i in range(n))
-        assert tr % k == 0
-        ck = tr // k
-        cs.append(ck)
-        if k < n:
-            shifted = [
-                [Mk[i][j] - ck if i == j else Mk[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-            Mk = _mat_mul_int(N, shifted)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    for k, ck in enumerate(cs):
-        coeffs[n - 1 - k] = -ck
-    return coeffs
+def _gcomb(*terms):
+    """Sum of c*X over (c, X): c = (re, im) a Gaussian integer, X a matrix."""
+    re0 = terms[0][1][0]
+    nrows, ncols = len(re0), len(re0[0])
+    re = [[0] * ncols for _ in range(nrows)]
+    im = [[0] * ncols for _ in range(nrows)]
+    for (cr, ci), (X, Y) in terms:
+        for re_i, im_i, x_i, y_i in zip(re, im, X, Y):
+            for j in range(ncols):
+                re_i[j] += cr * x_i[j] - ci * y_i[j]
+                im_i[j] += cr * y_i[j] + ci * x_i[j]
+    return re, im
 
 
-def _jordan_sizes_int(N, nu, mult, n):
-    K = [[N[i][j] - nu if i == j else N[i][j] for j in range(n)] for i in range(n)]
-    nullities = [0]
-    power = None
-    total = 0
-    while total < mult:
-        power = K if power is None else _mat_mul_int(power, K)
-        nullities.append(n - _bareiss_rank_int(power))
-        total = nullities[-1]
-        if len(nullities) > n + 1:
-            raise AssertionError("Jordan chain failed to terminate")
-    ge = [nullities[j] - nullities[j - 1] for j in range(1, len(nullities))]
-    out = []
-    for j, count_ge in enumerate(ge, start=1):
-        count_exact = count_ge - (ge[j] if j < len(ge) else 0)
-        out.extend([j] * count_exact)
-    return out
+def _realify(X):
+    """(integer matrix, w) with every rank over Q(i) = integer rank / w.
+
+    A real X gives Re X and w = 1; otherwise the realification
+    [[Re, -Im], [Im, Re]], the matrix of X acting on Q^2n, and w = 2.
+    """
+    re, im = X
+    if not any(map(any, im)):
+        return re, 1
+    top = [a + [-y for y in b] for a, b in zip(re, im)]
+    return top + [b + a for a, b in zip(re, im)], 2
 
 
-def _inverse_frac(m, n):
-    """Inverse of an integer matrix as Fraction rows."""
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
+def _gaussian_rank(X):
+    m, w = _realify(X)
+    return _rank_int(m)[0] // w
+
+
+def _block_rows(grid, zero):
+    """Rows of the block matrix given by a grid of square blocks (None: zero)."""
+    n = next(len(b) for brow in grid for b in brow if b is not None)
+    zeros = [zero] * n
+    rows = []
+    for brow in grid:
         for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+            row = []
+            for blk in brow:
+                row.extend(zeros if blk is None else blk[i])
+            rows.append(row)
+    return rows
+
+
+def _gaussian_grid_rank(grid):
+    return _gaussian_rank(
+        tuple(
+            _block_rows([[b if b is None else b[k] for b in brow] for brow in grid], 0)
+            for k in (0, 1)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -561,24 +609,20 @@ def _pencil_rank(M, Mt, n, from_int):
     return best
 
 
-def _expansion_nullity(M, Mt, d, n, zero):
-    rows = []
-    for j in range(d + 2):
-        for r in range(n):
-            row = []
-            for bc in range(d + 1):
-                if bc == j:
-                    row.extend(Mt[r])
-                elif bc == j - 1:
-                    row.extend(M[r])
-                else:
-                    row.extend([zero] * n)
-            rows.append(tuple(row))
-    return n * (d + 1) - mat_rank(rows)
+def _expansion_grid(M, Mt, d):
+    """Blocks of the matrix whose null space holds the degree-d polynomial
+    null vectors of t*M + M^T."""
+    return [
+        [Mt if bc == j else M if bc == j - 1 else None for bc in range(d + 1)]
+        for j in range(d + 2)
+    ]
 
 
-def _minimal_indices(M, Mt, count, n, zero):
-    """Right minimal indices of t*M + M^T (pass swapped for left ones)."""
+def _minimal_indices(M, Mt, count, n, grid_rank):
+    """Right minimal indices of t*M + M^T (pass swapped for left ones).
+
+    grid_rank(grid) is the rank of the block matrix of a grid of blocks.
+    """
     if count == 0:
         return ()
     indices = []
@@ -588,15 +632,12 @@ def _minimal_indices(M, Mt, count, n, zero):
     while len(indices) < count:
         if d > n:
             raise AssertionError("minimal index search exceeded the pencil size")
-        s_d = _expansion_nullity(M, Mt, d, n, zero)
+        s_d = n * (d + 1) - grid_rank(_expansion_grid(M, Mt, d))
         new = (s_d - s_prev) - (s_prev - s_prev_prev)
         indices.extend([d] * new)
         s_prev_prev, s_prev = s_prev, s_d
         d += 1
     return tuple(indices)
-
-
-_PENCIL_CACHE = {}
 
 
 def pencil_invariants(M, generic=False) -> PencilInvariants:
@@ -610,410 +651,141 @@ def pencil_invariants(M, generic=False) -> PencilInvariants:
         return PencilInvariants(0, 0, (), (), (), ())
     if generic:
         return _invariants_generic(M, n)
-    Q = _to_qi_matrix(M)
-    cached = _PENCIL_CACHE.get(Q)
-    if cached is None:
-        cached = _invariants_qi(Q, n)
-        if len(_PENCIL_CACHE) > 4096:
-            _PENCIL_CACHE.clear()
-        _PENCIL_CACHE[Q] = cached
-    return cached
+    return _invariants_qi(_to_qi_matrix(M))
 
 
-def _invariants_qi(M, n) -> PencilInvariants:
-    Mt = transpose(M)
-    ints = _try_int_matrix(M)
-    if ints is not None:
-        tints = [list(col) for col in zip(*ints)]
-        rank_m = _bareiss_rank_int(ints)
-        prank = _pencil_rank_int(ints, tints, n)
-        if prank == n:
-            inv = _regular_invariants_int(ints, n, rank_m)
-        else:
-            inv = _singular_invariants_int(ints, tints, n, rank_m, prank)
-        if inv is not None:
-            return inv
-    rank_m = mat_rank(M)
-    prank = _pencil_rank(M, Mt, n, lambda k: QI(k))
-    if prank == n:
-        inv = _regular_invariants_resolvent(M, Mt, n, rank_m)
-        if inv is not None:
-            return inv
-    return _invariants_smith(M, Mt, n, rank_m, prank, QI_ZERO, _factor_qi_upoly_str)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _invariants_qi(Q) -> PencilInvariants:
+    """Kronecker invariants of a constant pencil, by fraction-free ranks.
 
-
-def _bareiss_pivots_int(m):
-    """(rank, pivot row indices, pivot column indices) of an integer matrix."""
-    m = [row[:] for row in m]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    order = list(range(nrows))
-    prev = 1
-    r = 0
-    piv_cols = []
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            order[r], order[piv] = order[piv], order[r]
-        pv = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            if mic or pv != prev:
-                row_i = m[i]
-                row_r = m[r]
-                for j in range(c + 1, ncols):
-                    row_i[j] = (pv * row_i[j] - mic * row_r[j]) // prev
-                row_i[c] = 0
-        prev = pv
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, order[:r], piv_cols
-
-
-def _interp_minor_poly(Mi, Mti, rows, cols, r):
-    """Integer coefficients of det of the (rows, cols) minor of t*M + M^T."""
-    values = []
-    points = list(range(r + 1))
-    for p in points:
-        sub = [[p * Mi[i][j] + Mti[i][j] for j in cols] for i in rows]
-        values.append(_bareiss_det_int(sub))
-    # Lagrange interpolation; the result has integer coefficients
-    coeffs = [Fraction(0)] * (r + 1)
-    for p, v in zip(points, values):
-        if not v:
-            continue
-        basis = [Fraction(1)]
-        denom = 1
-        for q in points:
-            if q == p:
-                continue
-            denom *= p - q
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k] -= q * b
-                new[k + 1] += b
-            basis = new
-        scale = Fraction(v, denom)
-        for k, b in enumerate(basis):
-            coeffs[k] += b * scale
-    out = []
-    for cfr in coeffs:
-        assert cfr.denominator == 1
-        out.append(cfr.numerator)
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _toeplitz_nullity_int(base0, base1, qden, j, n):
-    """Nullity of the jet matrix with diag blocks P(a), superdiag blocks M.
-
-    base0 = q*P(a) and base1 = M as integer matrices for a = p/q; block-row r
-    is scaled by q^(r+1) to stay integral (row scalings keep the rank).
+    Divisors that do not split over Q(i) are missed by the roots, so the
+    blocks found do not tile the pencil; the Smith form decides those.
     """
-    rows = []
-    zeros = [0] * n
-    for r in range(j):
-        qr = qden**r
-        qr1 = qr * qden
-        for i in range(n):
-            row = []
-            for bc in range(j):
-                if bc == r:
-                    row.extend(qr * x for x in base0[i])
-                elif bc == r + 1:
-                    row.extend(qr1 * x for x in base1[i])
-                else:
-                    row.extend(zeros)
-            rows.append(row)
-    return j * n - _bareiss_rank_int(rows)
-
-
-def _exponents_at_root_int(base0, base1, qden, s, n):
-    """Multiset of divisor exponents at one root from jet-rank increments."""
-    exps_ge = []
-    prev = 0
-    j = 1
-    while True:
-        nul = _toeplitz_nullity_int(base0, base1, qden, j, n)
-        cj = (nul - prev) - s  # divisors with exponent >= j
-        if cj <= 0:
+    n = len(Q)
+    M = _gaussian_int_matrix(Q)
+    Mt = tuple([list(col) for col in zip(*part)] for part in M)
+    rank_m = _gaussian_rank(M)
+    prank = 0
+    for k in range(n + 1):
+        prank = max(prank, _gaussian_rank(_gcomb(((k, 0), M), ((1, 0), Mt))))
+        if prank == n:
             break
-        exps_ge.append(cj)
-        prev = nul
-        j += 1
-        if j > n + 1:
-            raise AssertionError("jet-rank chain failed to terminate")
-    out = []
-    for jj, ge in enumerate(exps_ge, start=1):
-        exact = ge - (exps_ge[jj] if jj < len(exps_ge) else 0)
-        out.extend([jj] * exact)
-    return out
-
-
-def _rational_root_candidates(coeffs):
-    """Gaussian-rational roots of an integer polynomial, via exact factoring."""
-    qcs = tuple(QI(c) for c in coeffs)
-    roots = []
-    for cs, _ in _factor_qi_coeffs(qcs):
-        if len(cs) == 2:
-            roots.append(-cs[0])
-    seen = []
-    for r in roots:
-        if r not in seen:
-            seen.append(r)
-    return seen
-
-
-def _int_poly_content(p):
-    from math import gcd
-
-    g = 0
-    for c in p:
-        g = gcd(g, abs(c))
-    return g or 1
-
-
-def _int_poly_primitive(p):
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    if not p:
-        return p
-    g = _int_poly_content(p)
-    if p[-1] < 0:
-        g = -g
-    return [c // g for c in p]
-
-
-def _int_poly_gcd(a, b):
-    """gcd of integer polynomials (primitive PRS), primitive positive lead."""
-    a, b = _int_poly_primitive(a), _int_poly_primitive(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        # pseudo-remainder of a by b
-        r = list(a)
-        lead = b[-1]
-        while len(r) >= len(b):
-            while r and not r[-1]:
-                r.pop()
-            if len(r) < len(b):
-                break
-            top = r[-1]
-            off = len(r) - len(b)
-            r = [lead * c for c in r]
-            for j, y in enumerate(b):
-                r[off + j] -= top * y
-            r.pop()
-        a, b = b, _int_poly_primitive(r)
-    return _int_poly_primitive(a)
-
-
-def _singular_invariants_int(Mi, Mti, n, rank_m, prank):
     s = n - prank
+    right = _minimal_indices(M, Mt, s, n, _gaussian_grid_rank)
+    left = _minimal_indices(Mt, M, s, n, _gaussian_grid_rank)
+    finite = []
+    for root, bound in _divisor_roots(M, Mt, prank):
+        # jets of q*(t*M + M^T) at t = root, with q*root a Gaussian integer
+        q = lcm(root.re.denominator, root.im.denominator)
+        value = _gcomb(((int(root.re * q), int(root.im * q)), M), ((q, 0), Mt))
+        exps = _jet_exponents(value, _gcomb(((q, 0), M)), s, n, bound)
+        key = _divisor_key((Scalar.const(-root), Scalar.const(QI_ONE)))
+        finite.extend((key, e) for e in exps)
+    # infinite divisors: reversed pencil at 0 (value M, derivative M^T), up
+    # to the regular size the finite divisors leave
+    regular = n - sum(right) - sum(left) - s - sum(e for _, e in finite)
+    infinite = _jet_exponents(M, Mt, s, n, regular)
     try:
-        right = _minimal_indices_int(Mi, Mti, s, n)
-        left = _minimal_indices_int(Mti, Mi, s, n)
-        finite = []
-        if prank:
-            # the product of all finite divisors divides every maximal minor,
-            # so the gcd of two of them is a small, congruence-stable multiple
-            minors = []
-            for k in range(2 * (n + 1)):
-                kk, rev = divmod(k, 2)
-                cand = [
-                    [kk * Mi[i][j] + Mti[i][j] for j in range(n)] for i in range(n)
-                ]
-                if rev:
-                    cand = cand[::-1]
-                r, rows, cols = _bareiss_pivots_int(cand)
-                if r == prank:
-                    picked = sorted((n - 1 - i for i in rows)) if rev else sorted(rows)
-                    key = (tuple(picked), tuple(cols))
-                    if key not in [m[0] for m in minors]:
-                        minors.append(
-                            (key, _interp_minor_poly(Mi, Mti, *key, prank))
-                        )
-                if len(minors) == 2:
-                    break
-            if not minors:
-                return None
-            coeffs = minors[0][1]
-            for _, other in minors[1:]:
-                coeffs = _int_poly_gcd(coeffs, other)
-            coeffs = _int_poly_primitive(coeffs)
-            if not coeffs:
-                return None
-            for root in _rational_root_candidates(tuple(coeffs)):
-                p_num, q_den = _qi_as_rational(root)
-                if p_num is None:
-                    base0 = tuple(
-                        tuple(
-                            root * QI(Mi[i][j]) + QI(Mti[i][j]) for j in range(n)
-                        )
-                        for i in range(n)
-                    )
-                    exps = _exponents_at_root_qi(base0, _int_rows_to_qi(Mi), s, n)
-                else:
-                    base0 = [
-                        [p_num * Mi[i][j] + q_den * Mti[i][j] for j in range(n)]
-                        for i in range(n)
-                    ]
-                    exps = _exponents_at_root_int(base0, Mi, q_den, s, n)
-                if exps:
-                    key = _divisor_key((Scalar.const(-root), Scalar.const(QI_ONE)))
-                    finite.extend((key, e) for e in exps)
-        # infinite divisors: reversed pencil at 0 (value M, derivative M^T)
-        infinite = _exponents_at_root_int(Mi, Mti, 1, s, n)
         return _assemble(n, rank_m, left, right, finite, infinite)
     except AssertionError:
-        return None
+        Qt = transpose(Q)
+        return _invariants_smith(
+            Q, Qt, n, rank_m, prank, QI_ZERO, _factor_qi_upoly_str
+        )
 
 
-def _qi_as_rational(root: QI):
-    if root.im:
-        return None, None
-    return root.re.numerator, root.re.denominator
+def _divisor_roots(M, Mt, prank):
+    """(root, bound) for the Gaussian-rational roots of a multiple of the
+    product of the finite divisors of t*M + M^T; bound is the root's
+    multiplicity in it, an upper bound for its exponents' sum.
+
+    The multiple is the gcd of up to two maximal minors of the realified
+    pencil, which is equivalent over C to the pencil plus its conjugate, so
+    its divisor product is a multiple of the pencil's.
+    """
+    if not prank:
+        return []
+    (P, w), (Pt, _) = _realify(M), _realify(Mt)
+    N, r = len(P), w * prank
+    want = 1 if r == N else 2  # a regular pencil has one maximal minor
+    keys = []
+    g = None
+    for k in range(2 * (N + 1)):
+        kk, rev = divmod(k, 2)
+        cand = [[kk * x + y for x, y in zip(a, b)] for a, b in zip(P, Pt)]
+        if rev:
+            cand.reverse()
+        rank, rows, cols = _rank_int(cand)
+        if rank != r:
+            continue
+        key = (tuple(sorted(N - 1 - i if rev else i for i in rows)), tuple(cols))
+        if key in keys:
+            continue
+        keys.append(key)
+        minor = _interp_minor_poly(P, Pt, *key)
+        g = _int_poly_primitive(minor) if g is None else _int_poly_gcd(g, minor)
+        if len(keys) == want:
+            break
+    if len(g) < 2:
+        return []
+    factors = _factor_qi_coeffs(tuple(QI(c) for c in g))
+    return [(-cs[0], e) for cs, e in factors if len(cs) == 2]
 
 
-def _exponents_at_root_qi(base0, base1, s, n):
-    exps_ge = []
+def _interp_minor_poly(P, Pt, rows, cols):
+    """Integer coefficients of the (rows, cols) minor of t*P + Pt.
+
+    Newton's form on the points 0..r: the k-th forward difference of the
+    values of an integer polynomial is k! times an integer.
+    """
+    r = len(rows)
+    diffs = [
+        _bareiss_det_int([[p * P[i][j] + Pt[i][j] for j in cols] for i in rows])
+        for p in range(r + 1)
+    ]
+    newton = []
+    for k in range(r + 1):
+        newton.append(diffs[0] // factorial(k))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    # Horner's rule in the basis t(t-1)...(t-k+1)
+    coeffs = [newton[r]]
+    for k in range(r - 1, -1, -1):
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= k * c
+        shifted[0] += newton[k]
+        coeffs = shifted
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _jet_exponents(value, slope, s, n, bound):
+    """Divisor exponents at one point from the nullities of its jet matrices.
+
+    The jet matrix of order j is block upper bidiagonal, with the pencil's
+    value at the point on the diagonal and its derivative (slope) above it.
+    The chain stops when the exponents reach bound, an upper bound for their
+    sum; s is the number of right minimal indices.
+    """
+    at_least = []  # at_least[j - 1]: number of exponents >= j
     prev = 0
-    j = 1
-    while True:
-        rows = []
-        zeros = (QI_ZERO,) * n
-        for r in range(j):
-            for i in range(n):
-                row = []
-                for bc in range(j):
-                    if bc == r:
-                        row.extend(base0[i])
-                    elif bc == r + 1:
-                        row.extend(base1[i])
-                    else:
-                        row.extend(zeros)
-                rows.append(tuple(row))
-        nul = j * n - mat_rank(rows)
-        cj = (nul - prev) - s
-        if cj <= 0:
-            break
-        exps_ge.append(cj)
-        prev = nul
-        j += 1
-        if j > n + 1:
-            raise AssertionError("jet-rank chain failed to terminate")
-    out = []
-    for jj, ge in enumerate(exps_ge, start=1):
-        exact = ge - (exps_ge[jj] if jj < len(exps_ge) else 0)
-        out.extend([jj] * exact)
-    return out
-
-
-def _pencil_rank_int(Mi, Mti, n):
-    best = 0
-    for k in range(n + 1):
-        sample = [
-            [k * Mi[i][j] + Mti[i][j] for j in range(n)] for i in range(n)
+    while sum(at_least) < bound:
+        j = len(at_least) + 1
+        grid = [
+            [value if c == r else slope if c == r + 1 else None for c in range(j)]
+            for r in range(j)
         ]
-        best = max(best, _bareiss_rank_int(sample))
-        if best == n:
+        nul = j * n - _gaussian_grid_rank(grid)
+        count = (nul - prev) - s
+        if count <= 0:
             break
-    return best
-
-
-def _expansion_nullity_int(Mi, Mti, d, n):
-    rows = []
-    zeros = [0] * n
-    for j in range(d + 2):
-        for r in range(n):
-            row = []
-            for bc in range(d + 1):
-                if bc == j:
-                    row.extend(Mti[r])
-                elif bc == j - 1:
-                    row.extend(Mi[r])
-                else:
-                    row.extend(zeros)
-            rows.append(row)
-    return n * (d + 1) - _bareiss_rank_int(rows)
-
-
-def _minimal_indices_int(Mi, Mti, count, n):
-    if count == 0:
-        return ()
-    indices = []
-    s_prev_prev = 0
-    s_prev = 0
-    d = 0
-    while len(indices) < count:
-        if d > n:
-            raise AssertionError("minimal index search exceeded the pencil size")
-        s_d = _expansion_nullity_int(Mi, Mti, d, n)
-        new = (s_d - s_prev) - (s_prev - s_prev_prev)
-        indices.extend([d] * new)
-        s_prev_prev, s_prev = s_prev, s_d
-        d += 1
-    return tuple(indices)
-
-
-def _regular_invariants_int(Mi, n, rank_m):
-    """Integer variant of the resolvent path, via N = det(R) R^{-1} M."""
-    Mti = [list(col) for col in zip(*Mi)]
-    R = None
-    sigma = None
-    d = 0
-    for k in range(n + 1):
-        cand = [[k * Mi[i][j] + Mti[i][j] for j in range(n)] for i in range(n)]
-        det = _bareiss_det_int(cand)
-        if det:
-            R, sigma, d = cand, k, det
-            break
-    if R is None:
-        return None
-    Rinv = _inverse_frac(R, n)
-    N = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = d * sum(Rinv[i][k] * Mi[k][j] for k in range(n))
-            assert v.denominator == 1
-            row.append(v.numerator)
-        N.append(row)
-    coeffs = _charpoly_int(N, n)
-    factors = _factor_qi_coeffs(tuple(QI(c) for c in coeffs))
-    if any(len(cs) != 2 for cs, _ in factors):
-        return None
-    finite = []
-    infinite = []
-    dq = QI(d)
-    for cs, mult in factors:
-        nu = -cs[0]
-        if not nu.im and nu.re.denominator == 1:
-            sizes = _jordan_sizes_int(N, nu.re.numerator, mult, n)
-        else:
-            sizes = _jordan_sizes(_int_rows_to_qi(N), nu, mult, n)
-        if not nu:
-            infinite.extend(sizes)
-        else:
-            a = QI(sigma) - dq / nu
-            key = _divisor_key((Scalar.const(-a), Scalar.const(QI_ONE)))
-            finite.extend((key, sz) for sz in sizes)
-    return _assemble(n, rank_m, (), (), finite, infinite)
+        at_least.append(count)
+        prev = nul
+    out = []
+    for j, (ge, gt) in enumerate(zip(at_least, at_least[1:] + [0]), start=1):
+        out.extend([j] * (ge - gt))
+    return out
 
 
 def _assemble(n, rank_m, left, right, finite, infinite) -> PencilInvariants:
@@ -1068,107 +840,14 @@ def _smith_divisors(M, Mt, n, factorizer):
 
 
 def _invariants_smith(M, Mt, n, rank_m, prank, zero, factorizer) -> PencilInvariants:
+    def grid_rank(grid):
+        return mat_rank(_block_rows(grid, zero))
+
     nidx = n - prank
-    right = _minimal_indices(M, Mt, nidx, n, zero)
-    left = _minimal_indices(Mt, M, nidx, n, zero)
+    right = _minimal_indices(M, Mt, nidx, n, grid_rank)
+    left = _minimal_indices(Mt, M, nidx, n, grid_rank)
     finite, infinite = _smith_divisors(M, Mt, n, factorizer)
     return _assemble(n, rank_m, left, right, finite, infinite)
-
-
-def _regular_invariants_resolvent(M, Mt, n, rank_m):
-    """Divisors of a regular pencil from the Jordan data of R^{-1} M.
-
-    With R = s*M + M^T invertible, the pencil t*M + M^T is equivalent to
-    (t-s) G + I for G = R^{-1} M: Jordan blocks of G at mu != 0 give finite
-    divisors (t - a)^k with a = s - 1/mu, and blocks at 0 give the infinite
-    divisor exponents.  Returns None when the characteristic polynomial does
-    not split over Q(i); the Smith path then decides.
-    """
-    from .linalg import det as mat_det
-
-    R = None
-    sigma = None
-    for k in range(n + 1):
-        s = QI(k)
-        cand = tuple(
-            tuple(s * M[i][j] + Mt[i][j] for j in range(n)) for i in range(n)
-        )
-        if mat_det(cand):
-            R, sigma = cand, s
-            break
-    if R is None:
-        return None
-    G = mat_mul(mat_inverse(R, one=QI_ONE, zero=QI_ZERO), M)
-    charpoly = _charpoly_qi(G, n)
-    factors = _factor_qi_upoly(UPoly(charpoly))
-    if any(len(cs) != 2 for cs, _ in factors):
-        return None
-    finite = []
-    infinite = []
-    for cs, mult in factors:
-        mu = -cs[0]  # root of the monic linear factor
-        sizes = _jordan_sizes(G, mu, mult, n)
-        if not mu:
-            infinite.extend(sizes)
-        else:
-            a = sigma - QI_ONE / mu
-            root_divisor = _divisor_key((Scalar.const(-a), Scalar.const(QI_ONE)))
-            finite.extend(((root_divisor, sz) for sz in sizes))
-    inv = PencilInvariants(
-        n,
-        rank_m,
-        (),
-        (),
-        tuple(sorted(Counter(finite).elements())),
-        tuple(sorted(infinite)),
-    )
-    inv.check_consistency()
-    return inv
-
-
-def _charpoly_qi(G, n):
-    """Faddeev-LeVerrier: det(tI - G) = t^n - c1 t^(n-1) - ... - cn."""
-    coeffs = [QI_ZERO] * (n + 1)
-    coeffs[n] = QI_ONE
-    Mk = G
-    cs = []
-    for k in range(1, n + 1):
-        ck = sum((Mk[i][i] for i in range(n)), QI_ZERO) / QI(k)
-        cs.append(ck)
-        if k < n:
-            shifted = tuple(
-                tuple(Mk[i][j] - ck if i == j else Mk[i][j] for j in range(n))
-                for i in range(n)
-            )
-            Mk = mat_mul(G, shifted)
-    for k, ck in enumerate(cs):
-        coeffs[n - 1 - k] = -ck
-    return coeffs
-
-
-def _jordan_sizes(G, mu, mult, n):
-    """Jordan block sizes of G at eigenvalue mu (sum of sizes = mult)."""
-    K = tuple(
-        tuple(G[i][j] - mu if i == j else G[i][j] for j in range(n)) for i in range(n)
-    )
-    nullities = [0]
-    power = None
-    total = 0
-    while total < mult:
-        power = K if power is None else mat_mul(power, K)
-        nullities.append(n - mat_rank(power))
-        total = nullities[-1]
-        if len(nullities) > n + 1:
-            raise AssertionError("Jordan chain failed to terminate")
-    sizes = []
-    for j in range(1, len(nullities)):
-        at_least_j = nullities[j] - nullities[j - 1]
-        sizes.append(at_least_j)
-    out = []
-    for j, count_ge in enumerate(sizes, start=1):
-        count_exact = count_ge - (sizes[j] if j < len(sizes) else 0)
-        out.extend([j] * count_exact)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1184,16 +863,9 @@ def congruence_transform(M, S):
     return mat_mul(mat_mul(transpose(S), M), S)
 
 
-_BLOCK_INV_CACHE = {}
-
-
+@lru_cache(maxsize=_CACHE_SIZE)
 def block_invariants(b: CanonicalBlock) -> PencilInvariants:
-    key = (b.kind, b.size, b.parameter.as_qi() if b.parameter is not None else None)
-    inv = _BLOCK_INV_CACHE.get(key)
-    if inv is None:
-        inv = pencil_invariants(canonical_block_matrix(b))
-        _BLOCK_INV_CACHE[key] = inv
-    return inv
+    return pencil_invariants(canonical_block_matrix(b))
 
 
 def _candidate_regular_blocks(divisor, exp, max_size):
@@ -1223,9 +895,6 @@ def _candidate_regular_blocks(divisor, exp, max_size):
     return out
 
 
-_DECOMP_CACHE = {}
-
-
 def canonical_decomposition(M):
     """The unique multiset of canonical blocks whose sum is congruent to M."""
     inv = pencil_invariants(M)
@@ -1233,18 +902,23 @@ def canonical_decomposition(M):
 
 
 def decomposition_from_invariants(inv: PencilInvariants):
-    cached = _DECOMP_CACHE.get(inv)
-    if cached is not None:
-        if isinstance(cached, Exception):
-            raise cached
-        return cached
+    found = _decompose_cached(inv)
+    if isinstance(found, str):
+        raise DictionaryMiss(found)
+    return found
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _decompose_cached(inv: PencilInvariants):
+    """The blocks, or the message of the DictionaryMiss they raise.
+
+    A message, not the exception, is kept: a re-raised exception would
+    grow its traceback and keep every raise's frames alive.
+    """
     try:
-        blocks = _decompose(inv)
+        return _decompose(inv)
     except DictionaryMiss as exc:
-        _DECOMP_CACHE[inv] = exc
-        raise
-    _DECOMP_CACHE[inv] = blocks
-    return blocks
+        return str(exc)
 
 
 def _decompose(inv: PencilInvariants):

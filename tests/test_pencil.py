@@ -1,4 +1,5 @@
 import random
+import traceback
 from itertools import combinations
 
 import pytest
@@ -209,23 +210,42 @@ def test_block_dictionary_consistency():
     assert len(set(invs)) == len(invs)
 
 
+def _gaussian_diagonal(n):
+    """diag(1/2, 1+i, 2-i, 1/2, ...): a transform with rational and Gaussian entries."""
+    values = [S("1/2"), S("1+i"), S("2-i")]
+    return tuple(
+        tuple(values[i % 3] if i == j else SC_ZERO for j in range(n)) for i in range(n)
+    )
+
+
 def test_paths_agree_on_random_congruences():
     from leibniz_lab.pencil import _invariants_smith, _to_qi_matrix
     from leibniz_lab.pencil import _factor_qi_upoly_str, _pencil_rank
     from leibniz_lab.linalg import rank as mat_rank
 
     rng = random.Random(77)
+    # (blocks, whether S is also scaled by the Gaussian diagonal)
     cases = [
-        [B("C", 3)],
-        [B("E", 2), B("C", 1)],
-        [B("B", 2, "2"), B("F", 2)],
-        [B("D", 4)],
-        [B("B", 2, "0"), B("C", 1)],
-        [B("E", 4)],
+        ([B("C", 3)], False),
+        ([B("E", 2), B("C", 1)], False),
+        ([B("B", 2, "2"), B("F", 2)], False),
+        ([B("D", 4)], False),
+        ([B("B", 2, "0"), B("C", 1)], False),
+        ([B("E", 4)], False),
+        ([B("B", 2, "-3/2"), B("A", 1)], False),
+        ([B("B", 2, "-3/2"), B("E", 2)], False),
+        ([B("B", 2, "1/2+i"), B("C", 1)], False),
+        ([B("B", 2, "1/2+i"), B("A", 1)], True),
+        ([B("B", 2, "-3/2"), B("C", 1)], True),
+        ([B("A", 3), B("C", 1)], True),
+        ([B("C", 3)], True),
+        ([B("E", 2), B("A", 1)], True),
     ]
-    for blocks in cases:
+    for blocks, gaussian in cases:
         M0 = direct_sum_matrix(blocks)
         Smat = _rand_unimodular(rng, len(M0))
+        if gaussian:
+            Smat = mat_mul(Smat, _gaussian_diagonal(len(M0)))
         M = congruence_transform(M0, Smat)
         got = pencil_invariants(M)
         Q = _to_qi_matrix(M)
@@ -235,7 +255,36 @@ def test_paths_agree_on_random_congruences():
         want = _invariants_smith(
             Q, Qt, n, mat_rank(Q), prank, QI(0), _factor_qi_upoly_str
         )
-        assert got == want
+        assert got == want, blocks
+
+
+def test_constant_pencils_stay_off_the_smith_form(monkeypatch):
+    """Singular pencils with rational or Gaussian entries whose divisors
+    split over Q(i) are decided without the polynomial Smith form, which
+    ran for minutes on the first of these inputs."""
+    import leibniz_lab.pencil as pencil
+    from leibniz_lab.blocks import normalize_blocks
+    from leibniz_lab.iso import random_invertible_matrix
+
+    def no_smith(*args):
+        pytest.fail("a constant pencil with split divisors reached the Smith form")
+
+    monkeypatch.setattr(pencil, "_invariants_smith", no_smith)
+    cases = [
+        (
+            [B("C", 3), B("B", 2, "-3/2"), B("A", 1), B("C", 1)],
+            random_invertible_matrix(7, random.Random(1)),
+        ),
+        (
+            [B("B", 4, "1/2+i"), B("C", 3), B("A", 1)],
+            mat_mul(
+                random_invertible_matrix(8, random.Random(2)), _gaussian_diagonal(8)
+            ),
+        ),
+    ]
+    for blocks, Smat in cases:
+        M = congruence_transform(direct_sum_matrix(blocks), Smat)
+        assert canonical_decomposition(M) == normalize_blocks(blocks)
 
 
 # --- congruence -------------------------------------------------------------
@@ -325,8 +374,13 @@ def test_decomposition_invariant_under_congruence():
 def test_dictionary_miss_on_unreachable_input():
     # pencil of [[1,1],[0,1]] has divisor t^2 + t + 1, irreducible over Q(i)
     m = scalar_matrix([["1", "1"], ["0", "1"]])
-    with pytest.raises(DictionaryMiss):
-        canonical_decomposition(m)
+    depths = []
+    for _ in range(2):
+        with pytest.raises(DictionaryMiss) as info:
+            canonical_decomposition(m)
+        depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+    # a cached answer is raised afresh, not re-raised with a longer traceback
+    assert depths[1] == depths[0]
 
 
 def test_has_zero_summand_iff_a1_in_decomposition():
