@@ -15,10 +15,6 @@ from .linalg import Subspace, freeze, inverse, nullspace, rref
 from .scalars import SC_ZERO, substitute
 
 
-def _zero_vec(n):
-    return (SC_ZERO,) * n
-
-
 @dataclass(frozen=True)
 class StructureConstants:
     dim: int

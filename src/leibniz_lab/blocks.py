@@ -17,14 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .algebra import (
-    StructureConstants,
-    derived_subalgebra,
-    is_nilpotent,
-    verify_leibniz,
-)
+from .algebra import StructureConstants, bracket, derived_subalgebra
 from .errors import InvalidBlock, PreconditionFailed
-from .linalg import block_diag, rank, transpose
+from .linalg import block_diag, identity, rank, transpose
 from .scalars import (
     QI,
     QI_ONE,
@@ -196,31 +191,28 @@ def algebra_from_form(N, label=None, constraints=()) -> StructureConstants:
 def form_from_algebra(A: StructureConstants):
     """Extract the bilinear form of a nilpotent algebra with dim A^2 = 1.
 
-    Returns (form matrix over the coordinate complement, spanning vector of
-    A^2).  The complement is the coordinate complement of the echelon pivot.
+    Returns (form matrix over the coordinate complement, spanning vector x_n
+    of A^2), with [x_u, x_v] = form[u][v] x_n for u, v in the complement.
+    The complement is the coordinate complement of the echelon pivot.
+
+    Precondition: A^2 = span(x_n) and [x_n, A] = [A, x_n] = 0; otherwise
+    PreconditionFailed.  This is equivalent to "A is Leibniz, nilpotent and
+    dim A^2 = 1".  (<=) Every product lies on the line of x_n, which kills
+    everything, so every double product is 0 and A^3 = 0.  (=>) Nilpotency
+    and dim A^2 = 1 force A^3 = [A, A^2] = 0, and then
+    [[a,b],c] = [a,[b,c]] - [b,[a,c]] lies in A^3 = 0.
     """
-    if not verify_leibniz(A):
-        raise PreconditionFailed("not a Leibniz algebra")
     derived = derived_subalgebra(A)
     if derived.dim != 1:
         raise PreconditionFailed(f"dim A^2 = {derived.dim}, need 1")
-    if not is_nilpotent(A):
-        raise PreconditionFailed("algebra is not nilpotent")
     xn = derived.basis[0]
-    pivot = next(k for k, c in enumerate(xn) if c)
+    for e in identity(A.dim):
+        if any(bracket(A, xn, e)) or any(bracket(A, e, xn)):
+            raise PreconditionFailed("A^2 does not annihilate the algebra")
+    pivot = next(k for k, c in enumerate(xn) if c)  # coefficient 1 (echelon)
     comp = [k for k in range(A.dim) if k != pivot]
-    form = []
-    for u in comp:
-        row = []
-        for v in comp:
-            w = A.tensor[u][v]
-            lam = w[pivot]  # the pivot coefficient of xn is 1 in echelon form
-            for k, c in enumerate(w):
-                if c != lam * xn[k]:
-                    raise PreconditionFailed("products do not lie in A^2")
-            row.append(lam)
-        form.append(tuple(row))
-    return tuple(form), xn
+    form = tuple(tuple(A.tensor[u][v][pivot] for v in comp) for u in comp)
+    return form, xn
 
 
 def has_zero_summand(M) -> bool:

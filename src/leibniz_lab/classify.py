@@ -76,9 +76,6 @@ class BlockMultiset:
     blocks: tuple  # CanonicalBlock, in table order (sizes descending)
     lie_only: bool
 
-    def structural_names(self):
-        return tuple(b.structural_name() for b in self.blocks)
-
 
 def block_multisets(m: int, include_a1=False):
     """Multisets of canonical blocks with sizes forming a partition of m.
@@ -224,16 +221,18 @@ def verify_nilpotent_entry(entry: ClassificationEntry):
     fails = []
     if not verify_leibniz(A):
         fails.append("leibniz identity fails")
-    if is_lie(A):
+    leib = leib_ideal(A)
+    if leib.is_zero():
         fails.append("algebra is Lie")
-    if not is_nilpotent(A):
+    chain = lower_central_series(A)
+    if not chain[-1].is_zero():
         fails.append("algebra is not nilpotent")
     derived = derived_subalgebra(A)
     if derived.dim != 1:
         fails.append(f"dim A^2 = {derived.dim}")
-    if leib_ideal(A) != derived:
+    if leib != derived:
         fails.append("Leib(A) differs from A^2")
-    form, xn = form_from_algebra(A)
+    form, _ = form_from_algebra(A)
     if has_zero_summand(form):
         fails.append("form has a zero summand (split algebra)")
     # the spanning vector of A^2 annihilates on both sides
@@ -242,7 +241,6 @@ def verify_nilpotent_entry(entry: ClassificationEntry):
         if any(A.tensor[i][n - 1]) or any(A.tensor[n - 1][i]):
             fails.append("x_n does not annihilate the algebra")
             break
-    chain = lower_central_series(A)
     if not (len(chain) == 3 and chain[1].dim == 1 and chain[2].is_zero()):
         fails.append("lower central series is not A > A^2 > 0")
     if not quotient_bracket_is_skew(A):
@@ -277,13 +275,6 @@ def load_reference_table(n: int):
     return [
         doc_to_algebra(doc)
         for doc in json.loads(_fixture_text(f"nilpotent_dim{n}.json"))
-    ]
-
-
-def load_reference_solvable(name: str):
-    return [
-        doc_to_algebra(doc)
-        for doc in json.loads(_fixture_text(f"solvable_{name}.json"))
     ]
 
 

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 from .algebra import (
     StructureConstants,
-    center,
     change_of_basis,
     derived_series,
     derived_subalgebra,
-    is_nilpotent,
     left_center,
     leib_ideal,
     lower_central_series,
@@ -77,14 +75,15 @@ def iso_invariants(A: StructureConstants) -> IsoInvariants:
         form, _ = form_from_algebra(A)
         generic = any(x.parameters() for row in form for x in row)
         pencil = pencil_invariants(form, generic=generic)
+    left, right = left_center(A), right_center(A)
     return IsoInvariants(
         dim=A.dim,
         dim_lower_central=tuple(s.dim for s in lcs[1:]),
         dim_derived=tuple(s.dim for s in ds[1:]),
         dim_leib=leib_ideal(A).dim,
-        dim_center=center(A).dim,
-        dim_left_center=left_center(A).dim,
-        dim_right_center=right_center(A).dim,
+        dim_center=left.intersect(right).dim,
+        dim_left_center=left.dim,
+        dim_right_center=right.dim,
         pencil=pencil,
     )
 
@@ -112,17 +111,12 @@ class IsoVerdict:
 
 
 def isomorphic_dim1_nilpotent(A: StructureConstants, B: StructureConstants) -> IsoVerdict:
-    for X in (A, B):
-        if X.parameters():
-            raise PreconditionFailed("constant structure constants required")
-        if not is_nilpotent(X) or derived_subalgebra(X).dim != 1:
-            raise PreconditionFailed(
-                "both algebras must be nilpotent with dim A^2 = 1"
-            )
-    if A.dim != B.dim:
-        return IsoVerdict(False, None)
+    if A.parameters() or B.parameters():
+        raise PreconditionFailed("constant structure constants required")
     form_a, _ = form_from_algebra(A)
     form_b, _ = form_from_algebra(B)
+    if A.dim != B.dim:
+        return IsoVerdict(False, None)
     same = pencil_invariants(form_a) == pencil_invariants(form_b)
     if not same:
         return IsoVerdict(False, None)

@@ -56,10 +56,6 @@ def identity(n, one=SC_ONE, zero=SC_ZERO):
     )
 
 
-def zero_matrix(rows, cols, zero=SC_ZERO):
-    return tuple(tuple(zero for _ in range(cols)) for _ in range(rows))
-
-
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
 

@@ -283,9 +283,6 @@ class Poly:
             return self
         return Poly({m: k * c for m, k in self.terms.items()})
 
-    def total_degree(self):
-        return max((sum(e for _, e in m) for m in self.terms), default=-1)
-
     def leading(self, varorder=None):
         """(monomial, coeff) maximal under graded lex."""
         if varorder is None:

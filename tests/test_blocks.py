@@ -1,6 +1,14 @@
+import random
+
 import pytest
 
-from leibniz_lab.algebra import is_lie, is_nilpotent, verify_leibniz
+from leibniz_lab.algebra import (
+    StructureConstants,
+    derived_subalgebra,
+    is_lie,
+    is_nilpotent,
+    verify_leibniz,
+)
 from leibniz_lab.blocks import (
     CanonicalBlock,
     algebra_from_blocks,
@@ -15,6 +23,7 @@ from leibniz_lab.blocks import (
     parse_block_name,
 )
 from leibniz_lab.errors import InvalidBlock, PreconditionFailed
+from leibniz_lab.iso import isomorphic_dim1_nilpotent
 from leibniz_lab.linalg import scalar_matrix
 from leibniz_lab.scalars import Scalar
 
@@ -162,6 +171,71 @@ def test_form_preconditions():
     abelian = StructureConstants.from_products(2, {})
     with pytest.raises(PreconditionFailed):
         form_from_algebra(abelian)
+
+
+def _near_line_algebra(rng):
+    """Random algebra of dim 1-4 whose products lie mostly on one line."""
+    n = rng.randint(1, 4)
+    line = [rng.choice([0, 0, 1, -1, 2]) for _ in range(n)]
+    if not any(line):
+        line[rng.randrange(n)] = 1
+    support = {k for k, c in enumerate(line) if c}
+    # The line's support often brackets to zero on both sides, as x_n does
+    # in a form algebra, or on one side only.
+    quiet = rng.choice(["none", "left", "right", "both", "both"])
+    products = {}
+    for i in range(n):
+        for j in range(n):
+            if quiet in ("left", "both") and i in support:
+                continue
+            if quiet in ("right", "both") and j in support:
+                continue
+            r = rng.random()
+            if r < 0.4:
+                continue
+            if r < 0.95:
+                lam = rng.choice([1, -1, 2, 3])
+                coeffs = [lam * c for c in line]
+            else:
+                coeffs = [rng.randint(-2, 2) for _ in range(n)]
+            terms = [(k + 1, Scalar.rational(c)) for k, c in enumerate(coeffs) if c]
+            products[(i + 1, j + 1)] = terms
+    return StructureConstants.from_products(n, products)
+
+
+def test_form_precondition_is_leibniz_nilpotent_dim1():
+    rng = random.Random(20240)
+    tally = {}
+    for _ in range(600):
+        A = _near_line_algebra(rng)
+        case = (verify_leibniz(A), is_nilpotent(A), derived_subalgebra(A).dim == 1)
+        tally[case] = tally.get(case, 0) + 1
+        if all(case):
+            form, xn = form_from_algebra(A)
+            assert len(form) == A.dim - 1 and derived_subalgebra(A).basis[0] == xn
+        else:
+            with pytest.raises(PreconditionFailed):
+                form_from_algebra(A)
+    # accepted; not Leibniz only; not nilpotent only; dim A^2 != 1 only
+    T, F = True, False
+    for case in [(T, T, T), (F, T, T), (T, F, T), (T, T, F)]:
+        assert tally.get(case, 0) >= 20, tally
+
+
+def test_one_sided_annihilator_is_rejected():
+    # [x1,x1] = x2, [x2,x1] = x2: nilpotent (A^3 = [A, A^2] = 0) with
+    # dim A^2 = 1, but not Leibniz.  [A, x2] = 0 while [x2, x1] = x2, so only
+    # the [x_n, A] = 0 half of the precondition rejects it.
+    one = Scalar.rational(1)
+    A = StructureConstants.from_products(2, {(1, 1): [(2, one)], (2, 1): [(2, one)]})
+    assert is_nilpotent(A) and derived_subalgebra(A).dim == 1
+    assert not verify_leibniz(A)
+    with pytest.raises(PreconditionFailed):
+        form_from_algebra(A)
+    with pytest.raises(PreconditionFailed):
+        isomorphic_dim1_nilpotent(A, A)
+    with pytest.raises(PreconditionFailed):
+        isomorphic_dim1_nilpotent(A, algebra_from_blocks([B("C", 3)]))
 
 
 def test_has_zero_summand():
