@@ -31,6 +31,7 @@ from .blocks import (
     has_zero_summand,
     is_skew_matrix,
 )
+from .errors import PreconditionFailed
 from .formats import doc_to_algebra
 from .pencil import canonical_decomposition
 from .scalars import QI, ParameterConstraint, Scalar
@@ -232,9 +233,13 @@ def verify_nilpotent_entry(entry: ClassificationEntry):
         fails.append(f"dim A^2 = {derived.dim}")
     if leib != derived:
         fails.append("Leib(A) differs from A^2")
-    form, _ = form_from_algebra(A)
-    if has_zero_summand(form):
-        fails.append("form has a zero summand (split algebra)")
+    try:
+        form, _ = form_from_algebra(A)
+    except PreconditionFailed as exc:
+        fails.append(str(exc))
+    else:
+        if has_zero_summand(form):
+            fails.append("form has a zero summand (split algebra)")
     # the spanning vector of A^2 annihilates on both sides
     n = A.dim
     for i in range(n):

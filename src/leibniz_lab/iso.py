@@ -73,8 +73,7 @@ def iso_invariants(A: StructureConstants) -> IsoInvariants:
     pencil = None
     if lcs[-1].is_zero() and derived.dim == 1:
         form, _ = form_from_algebra(A)
-        generic = any(x.parameters() for row in form for x in row)
-        pencil = pencil_invariants(form, generic=generic)
+        pencil = pencil_invariants(form)
     left, right = left_center(A), right_center(A)
     return IsoInvariants(
         dim=A.dim,

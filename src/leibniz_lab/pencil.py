@@ -4,14 +4,20 @@ Two square matrices over an algebraically closed field of characteristic 0
 are congruent exactly when their pencils t*M + u*M^T are strictly
 equivalent, so the pencil's Kronecker data (minimal indices, finite and
 infinite elementary divisors) fingerprints the congruence class.  Everything
-here is computed exactly.  A constant matrix is scaled to Gaussian integers
-and goes through one fraction-free engine: minimal indices from the ranks of
-expansion matrices, divisor roots from a gcd of maximal minors, and divisor
-exponents from the ranks of jet matrices at each root, every rank over Q(i)
-taken as half the integer rank of the realification.  The polynomial Smith
-form decides parametric matrices and divisors that do not split over Q(i).
-sympy supplies exact factorization over Q(i), optionally with formal
-parameters.
+here is computed exactly, by one engine: minimal indices from the ranks of
+expansion matrices, a multiple of the product of the finite elementary
+divisors from maximal minors, its irreducible factors over the base field,
+and the exponents of each factor p from the ranks of jet matrices at a root
+of p.  That root is the companion matrix C of p: the pencil's value there is
+C (x) M + I (x) M^T, and a rank over the field K[t]/(p) is the rank of the
+expanded matrix over K divided by deg p.
+
+The engine runs on two kinds of matrix.  A constant matrix is scaled to a
+Gaussian integer matrix and ranked fraction-free, a rank over K = Q(i) being
+half the integer rank of the realification [[Re, -Im], [Im, Re]].  A matrix
+with free parameters is ranked by Scalar row reduction over K = Q(i)(params),
+so its invariants are those of generic parameter values.  sympy supplies
+exact factorization.
 """
 
 from __future__ import annotations
@@ -21,235 +27,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import floordiv, truediv
 
 from .blocks import CanonicalBlock, canonical_block_matrix, normalize_blocks
-from .errors import DictionaryMiss, ParameterNotSupported
-from .linalg import mat_mul, rank as mat_rank, transpose
-from .scalars import QI, QI_ONE, QI_ZERO, Scalar
+from .errors import DictionaryMiss, DimensionMismatch, ParameterNotSupported
+from .linalg import det, mat_mul, rank as mat_rank, rref, transpose
+from .scalars import QI, QI_ONE, SC_ONE, SC_ZERO, Scalar
 
 # Entries kept by each cache in this module: bounds the memory of a
 # long-running process that sees many distinct matrices.
 _CACHE_SIZE = 4096
 
-def _sympy_t():
-    import sympy
-
-    return sympy.Symbol("t")
-
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials over a field-like element type
-# ---------------------------------------------------------------------------
-class UPoly:
-    """Dense univariate polynomial; coeffs[k] is the t^k coefficient."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "c", tuple(coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("UPoly is immutable")
-
-    @property
-    def degree(self):
-        return len(self.c) - 1
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        return isinstance(other, UPoly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __add__(self, other):
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, x in enumerate(b):
-            out[k] = out[k] + x
-        return UPoly(out)
-
-    def __neg__(self):
-        return UPoly([-x for x in self.c])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not self.c or not other.c:
-            return UPoly(())
-        out = [None] * (len(self.c) + len(other.c) - 1)
-        for i, x in enumerate(self.c):
-            if not x:
-                continue
-            for j, y in enumerate(other.c):
-                if not y:
-                    continue
-                p = x * y
-                out[i + j] = p if out[i + j] is None else out[i + j] + p
-        zero = self.c[0] - self.c[0]
-        return UPoly([zero if v is None else v for v in out])
-
-    def divmod(self, other):
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        if len(self.c) < len(other.c):
-            return UPoly(()), self
-        rem = list(self.c)
-        lead = other.c[-1]
-        dq = len(self.c) - len(other.c)
-        quo = [None] * (dq + 1)
-        zero = lead - lead
-        for k in range(dq, -1, -1):
-            top = rem[k + len(other.c) - 1]
-            if not top:
-                quo[k] = zero
-                continue
-            q = top / lead
-            quo[k] = q
-            for j, y in enumerate(other.c):
-                if y:
-                    rem[k + j] = rem[k + j] - q * y
-        return UPoly(quo), UPoly(rem[: len(other.c) - 1])
-
-    def monic(self):
-        if not self.c:
-            return self
-        lead = self.c[-1]
-        inv = QI_ONE / lead if isinstance(lead, QI) else lead.inverse()
-        return UPoly([x * inv for x in self.c])
-
-    def trailing_zero_count(self):
-        for k, x in enumerate(self.c):
-            if x:
-                return k
-        return len(self.c)
-
-    def scale(self, unit):
-        return UPoly([x * unit for x in self.c])
-
-    def __repr__(self):
-        return f"UPoly({self.c})"
-
-
-def _coeff_magnitude(p: UPoly):
-    out = 0
-    for q in p.c:
-        if isinstance(q, QI):
-            out = max(
-                out,
-                abs(q.re.numerator),
-                q.re.denominator,
-                abs(q.im.numerator),
-                q.im.denominator,
-            )
-    return out
-
-
-def _unit_rescale(polys):
-    """Rescale a row/column by a rational unit to integer content 1.
-
-    Unit scalings do not change the Smith form (pivots are re-normalized
-    monic at the end).  Applies only to QI coefficients; other coefficient
-    fields are returned unchanged.
-    """
-    from math import gcd
-
-    num_g = 0
-    den_l = 1
-    for p in polys:
-        for q in p.c:
-            if not isinstance(q, QI):
-                return polys
-            for f in (q.re, q.im):
-                if f:
-                    num_g = gcd(num_g, abs(f.numerator))
-                    den_l = den_l // gcd(den_l, f.denominator) * f.denominator
-    if num_g == 0:
-        return polys
-    scale = Fraction(den_l, num_g)
-    if scale == 1:
-        return polys
-    unit = QI(scale)
-    return [p.scale(unit) for p in polys]
-
-
-def smith_invariant_factors(mat):
-    """Nonzero invariant factors (monic, divisibility chain) of a UPoly matrix."""
-    m = [list(row) for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    factors = []
-    top = 0
-    while top < min(nrows, ncols):
-        piv = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j]:
-                    key = (m[i][j].degree, _coeff_magnitude(m[i][j]))
-                    if best is None or key < best:
-                        best = key
-                        piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        m[top], m[i0] = m[i0], m[top]
-        for row in m:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            changed = False
-            for i in range(top + 1, nrows):
-                if m[i][top]:
-                    q, r = m[i][top].divmod(m[top][top])
-                    m[i] = _unit_rescale([x - q * y for x, y in zip(m[i], m[top])])
-                    if r:
-                        m[top], m[i] = m[i], m[top]
-                        changed = True
-            if changed:
-                continue
-            for j in range(top + 1, ncols):
-                if m[top][j]:
-                    q, r = m[top][j].divmod(m[top][top])
-                    col = _unit_rescale(
-                        [row[j] - q * row[top] for row in m]
-                    )
-                    for i, row in enumerate(m):
-                        row[j] = col[i]
-                    if r:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        changed = True
-            if changed:
-                continue
-            # pivot row/col clean; enforce divisibility on the rest
-            fixup = None
-            for i in range(top + 1, nrows):
-                for j in range(top + 1, ncols):
-                    if m[i][j]:
-                        _, r = m[i][j].divmod(m[top][top])
-                        if r:
-                            fixup = i
-                            break
-                if fixup is not None:
-                    break
-            if fixup is None:
-                break
-            m[top] = _unit_rescale([x + y for x, y in zip(m[top], m[fixup])])
-        factors.append(m[top][top].monic())
-        top += 1
-    return factors
-
-
-# ---------------------------------------------------------------------------
-# Exact factorization over Q(i), via sympy
+# Exact factorization over Q(i)(params), via sympy
 # ---------------------------------------------------------------------------
 def _qi_to_sympy(q: QI):
     import sympy
@@ -261,38 +52,8 @@ def _qi_to_sympy(q: QI):
 
 
 def _sympy_to_qi(expr) -> QI:
-    import sympy
-
-    re_, im_ = sympy.simplify(expr).as_real_imag()
-    re_, im_ = sympy.Rational(re_), sympy.Rational(im_)
-    return QI(Fraction(int(re_.p), int(re_.q)), Fraction(int(im_.p), int(im_.q)))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _factor_qi_coeffs(coeffs):
-    """Factor a monic UPoly over Q(i): tuple of (coeff tuple, exponent)."""
-    import sympy
-
-    _T = _sympy_t()
-    expr = sum(_qi_to_sympy(c) * _T**k for k, c in enumerate(coeffs))
-    _, factors = sympy.factor_list(expr, _T, gaussian=True)
-    out = []
-    for f, e in factors:
-        p = sympy.Poly(f, _T)
-        cs = [_sympy_to_qi(x) for x in reversed(p.all_coeffs())]
-        lead = cs[-1]
-        if lead != QI_ONE:
-            inv = lead.inverse()
-            cs = [x * inv for x in cs]
-        out.append((tuple(cs), int(e)))
-    out.sort(key=lambda fe: (len(fe[0]), [c.sort_key() for c in fe[0]], fe[1]))
-    return tuple(out)
-
-
-def _factor_qi_upoly(p: UPoly):
-    if p.degree < 1:
-        return ()
-    return _factor_qi_coeffs(p.monic().c)
+    re_, im_ = (x.as_numer_denom() for x in expr.as_real_imag())
+    return QI(Fraction(int(re_[0]), int(re_[1])), Fraction(int(im_[0]), int(im_[1])))
 
 
 def _scalar_to_sympy(s: Scalar, symmap):
@@ -310,52 +71,52 @@ def _scalar_to_sympy(s: Scalar, symmap):
     return conv(s.num) / conv(s.den)
 
 
-def _sympy_poly_to_scalar_coeffs(f, params, symmap):
-    """sympy polynomial in t and params -> UPoly coefficients as Scalars."""
+def _sympy_poly_to_scalar_coeffs(f, gens, params):
+    """Coefficients in gens[0] of a sympy polynomial, as Scalars in params."""
     import sympy
 
-    p = sympy.Poly(f, _sympy_t(), *[symmap[v] for v in params])
     coeffs = {}
-    for mono, coef in p.terms():
-        te = mono[0]
+    for mono, coef in sympy.Poly(f, *gens).terms():
         s = Scalar.const(_sympy_to_qi(coef))
         for name, e in zip(params, mono[1:]):
             for _ in range(e):
                 s = s * Scalar.param(name)
-        coeffs[te] = coeffs.get(te, Scalar.const(QI_ZERO)) + s
-    deg = max(coeffs) if coeffs else -1
-    return [coeffs.get(k, Scalar.const(QI_ZERO)) for k in range(deg + 1)]
+        coeffs[mono[0]] = coeffs.get(mono[0], SC_ZERO) + s
+    return [coeffs.get(k, SC_ZERO) for k in range(max(coeffs) + 1)]
 
 
-def _factor_scalar_upoly(p: UPoly):
-    """Factor a UPoly with Scalar coefficients over Q(i)(params)[t]."""
-    if p.degree < 1:
-        return ()
-    params = sorted(set().union(*(c.parameters() for c in p.c)))
-    if not params:
-        qp = UPoly([c.as_qi() for c in p.c])
-        return tuple(
-            (tuple(Scalar.const(c) for c in cs), e) for cs, e in _factor_qi_upoly(qp)
-        )
+@lru_cache(maxsize=_CACHE_SIZE)
+def _factor(coeffs):
+    """Irreducible factors over Q(i)(params) of the polynomial in t with
+    Scalar coefficients coeffs (low to high): a tuple of (monic coefficient
+    tuple, exponent), factors free of t dropped.
+
+    sympy factors first in its default domain, which is fast but leaves
+    factors such as t^2 + 1 whole; only factors of degree >= 2 in t can
+    still split over Q(i), so only those are factored again with
+    gaussian=True.
+    """
     import sympy
 
-    _T = _sympy_t()
+    params = sorted(set().union(*(c.parameters() for c in coeffs)))
     symmap = {v: sympy.Symbol(v) for v in params}
-    expr = sum(_scalar_to_sympy(c, symmap) * _T**k for k, c in enumerate(p.c))
+    t = sympy.Dummy("t")
+    gens = [t] + [symmap[v] for v in params]
+    expr = sum(_scalar_to_sympy(c, symmap) * t**k for k, c in enumerate(coeffs))
     num, _ = sympy.fraction(sympy.together(expr))
-    _, factors = sympy.factor_list(
-        sympy.expand(num), _T, *[symmap[v] for v in params], gaussian=True
-    )
     out = []
-    for f, e in factors:
-        if sympy.degree(f, _T) < 1:
+    for f, e in sympy.factor_list(sympy.expand(num), *gens)[1]:
+        deg = sympy.degree(f, t)
+        if deg < 1:
             continue
-        cs = _sympy_poly_to_scalar_coeffs(f, params, symmap)
-        lead = cs[-1]
-        inv = lead.inverse()
-        cs = [x * inv for x in cs]
-        out.append((tuple(cs), int(e)))
-    out.sort(key=lambda fe: (len(fe[0]), [str(c) for c in fe[0]], fe[1]))
+        parts = [(f, 1)] if deg == 1 else sympy.factor_list(f, *gens, gaussian=True)[1]
+        for g, e2 in parts:
+            if sympy.degree(g, t) < 1:
+                continue
+            cs = _sympy_poly_to_scalar_coeffs(g, gens, params)
+            inv = cs[-1].inverse()
+            out.append((tuple(x * inv for x in cs), int(e) * int(e2)))
+    out.sort(key=lambda fe: (len(fe[0]), _divisor_key(fe[0]), fe[1]))
     return tuple(out)
 
 
@@ -476,18 +237,47 @@ def _rank_int(m):
     return len(cols), order[: len(cols)], cols
 
 
+def _interpolate(values, from_int, div):
+    """Coefficients, low to high, of the polynomial of degree < len(values)
+    that takes values[k] at t = k; div(x, y) divides exactly.
+
+    Newton's form: the k-th forward difference at 0 divided by k!, which for
+    an integer polynomial is an integer.
+    """
+    r = len(values) - 1
+    diffs = list(values)
+    newton = []
+    for k in range(r + 1):
+        newton.append(div(diffs[0], from_int(factorial(k))))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    # Horner's rule in the basis t(t-1)...(t-k+1)
+    coeffs = [newton[r]]
+    for k in range(r - 1, -1, -1):
+        shifted = [from_int(0)] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] = shifted[i] - from_int(k) * c
+        shifted[0] = shifted[0] + newton[k]
+        coeffs = shifted
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # Gaussian integer matrices: pairs (real rows, imaginary rows) of int lists
 # ---------------------------------------------------------------------------
-def _gaussian_int_matrix(Q):
-    """c*Q as a Gaussian integer matrix, c the lcm of the entry denominators.
+def _gaussian_int_matrix(M):
+    """c*M as a primitive Gaussian integer matrix (re rows, im rows) of int
+    tuples, c the rational that clears the denominators and the content.
 
     t*cM + u*cM^T = c(t*M + u*M^T), so every pencil invariant is unchanged.
     """
-    c = lcm(*(f.denominator for row in Q for x in row for f in (x.re, x.im)))
-    re = [[x.re.numerator * (c // x.re.denominator) for x in row] for row in Q]
-    im = [[x.im.numerator * (c // x.im.denominator) for x in row] for row in Q]
-    return re, im
+    Q = [[x if isinstance(x, QI) else x.as_qi() for x in row] for row in M]
+    den = lcm(*(f.denominator for row in Q for x in row for f in (x.re, x.im)))
+    re = [[x.re.numerator * (den // x.re.denominator) for x in row] for row in Q]
+    im = [[x.im.numerator * (den // x.im.denominator) for x in row] for row in Q]
+    g = gcd(*(v for part in (re, im) for row in part for v in row)) or 1
+    return tuple(tuple(tuple(v // g for v in row) for row in part) for part in (re, im))
 
 
 def _gcomb(*terms):
@@ -517,11 +307,6 @@ def _realify(X):
     return top + [b + a for a, b in zip(re, im)], 2
 
 
-def _gaussian_rank(X):
-    m, w = _realify(X)
-    return _rank_int(m)[0] // w
-
-
 def _block_rows(grid, zero):
     """Rows of the block matrix given by a grid of square blocks (None: zero)."""
     n = next(len(b) for brow in grid for b in brow if b is not None)
@@ -536,13 +321,126 @@ def _block_rows(grid, zero):
     return rows
 
 
-def _gaussian_grid_rank(grid):
-    return _gaussian_rank(
-        tuple(
+# ---------------------------------------------------------------------------
+# The two kinds of pencil the engine runs on
+# ---------------------------------------------------------------------------
+class _GaussianPencil:
+    """t*M + M^T for a Gaussian integer matrix M, over Q(i).
+
+    Elements are Gaussian integers (re, im) and matrices pairs (re rows, im
+    rows); ranks are fraction-free integer ranks of the realification.
+    """
+
+    zero = (0, 0)
+
+    def __init__(self, M):
+        self.M = tuple([list(row) for row in part] for part in M)
+        self.Mt = tuple([list(col) for col in zip(*part)] for part in M)
+        self.n = len(self.M[0])
+
+    @staticmethod
+    def from_int(k):
+        return (k, 0)
+
+    def comb(self, a, b):
+        """a*M + b*M^T."""
+        return _gcomb((a, self.M), (b, self.Mt))
+
+    @staticmethod
+    def flatten(grid):
+        return tuple(
             _block_rows([[b if b is None else b[k] for b in brow] for brow in grid], 0)
             for k in (0, 1)
         )
-    )
+
+    def grid_rank(self, grid):
+        m, w = _realify(self.flatten(grid))
+        return _rank_int(m)[0] // w
+
+    @staticmethod
+    def scaled(coeffs):
+        """q*c for the constant Scalars c in coeffs, q > 0 the least integer
+        making them all Gaussian integers."""
+        qs = [c.as_qi() for c in coeffs]
+        q = lcm(*(f.denominator for x in qs for f in (x.re, x.im)))
+        return [(int(x.re * q), int(x.im * q)) for x in qs]
+
+    def divisor_multiple(self, prank):
+        """The gcd of up to two maximal minors of the realified pencil, which
+        is equivalent over C to the pencil plus its conjugate, so its divisor
+        product is a multiple of the pencil's."""
+        (P, w), (Pt, _) = _realify(self.M), _realify(self.Mt)
+        N, r = len(P), w * prank
+        want = 1 if r == N else 2  # a regular pencil has one maximal minor
+        keys = []
+        g = None
+        for k in range(2 * (N + 1)):
+            kk, rev = divmod(k, 2)
+            cand = [[kk * x + y for x, y in zip(a, b)] for a, b in zip(P, Pt)]
+            if rev:
+                cand.reverse()
+            rank, rows, cols = _rank_int(cand)
+            if rank != r:
+                continue
+            key = (tuple(sorted(N - 1 - i if rev else i for i in rows)), tuple(cols))
+            if key in keys:
+                continue
+            keys.append(key)
+            rows, cols = key
+            values = [
+                _bareiss_det_int([[p * P[i][j] + Pt[i][j] for j in cols] for i in rows])
+                for p in range(r + 1)
+            ]
+            minor = _interpolate(values, int, floordiv)
+            g = _int_poly_primitive(minor) if g is None else _int_poly_gcd(g, minor)
+            if len(keys) == want:
+                break
+        return tuple(Scalar.rational(c) for c in g)
+
+
+class _ScalarPencil:
+    """t*M + M^T for a Scalar matrix M, over Q(i)(params): generic ranks."""
+
+    zero = SC_ZERO
+    from_int = staticmethod(Scalar.rational)
+
+    def __init__(self, M):
+        self.M = tuple(tuple(row) for row in M)
+        self.Mt = transpose(self.M)
+        self.n = len(M)
+
+    def comb(self, a, b):
+        """a*M + b*M^T."""
+        return tuple(
+            tuple(a * x + b * y for x, y in zip(r, s)) for r, s in zip(self.M, self.Mt)
+        )
+
+    @staticmethod
+    def flatten(grid):
+        return _block_rows(grid, SC_ZERO)
+
+    def grid_rank(self, grid):
+        return mat_rank(self.flatten(grid))
+
+    @staticmethod
+    def scaled(coeffs):
+        """The coefficients themselves: over a field the scale q is 1."""
+        return list(coeffs)
+
+    def divisor_multiple(self, prank):
+        """One maximal minor, interpolated at t = 0..prank: a multiple of the
+        product of the finite divisors."""
+        for k in range(self.n + 1):
+            at = self.comb(Scalar.rational(k), SC_ONE)
+            _, cols = rref(at)
+            if len(cols) == prank:
+                break
+        _, rows = rref(transpose([[row[j] for j in cols] for row in at]))
+        values = []
+        for p in range(prank + 1):
+            at = self.comb(Scalar.rational(p), SC_ONE)
+            values.append(det([[at[i][j] for j in cols] for i in rows]))
+        return tuple(_interpolate(values, Scalar.rational, truediv))
 
 
 # ---------------------------------------------------------------------------
@@ -578,35 +476,107 @@ def _divisor_key(coeffs):
     return tuple(str(c) for c in coeffs)
 
 
-def _to_qi_matrix(M):
-    out = []
-    for row in M:
-        qrow = []
-        for x in row:
-            if isinstance(x, QI):
-                qrow.append(x)
-            elif x.is_constant():
-                qrow.append(x.as_qi())
-            else:
-                raise ParameterNotSupported(
-                    "matrix has free parameters; pass generic=True"
-                )
-        out.append(tuple(qrow))
-    return tuple(out)
+def _has_parameters(M):
+    """Whether a matrix of Scalar (or QI) entries has free parameters."""
+    return any(isinstance(x, Scalar) and not x.is_constant() for row in M for x in row)
 
 
-def _pencil_rank(M, Mt, n, from_int):
-    """Generic rank of t*M + M^T via n+1 sample points."""
-    best = 0
-    for k in range(n + 1):
-        lam = from_int(k)
-        sample = tuple(
-            tuple(lam * M[i][j] + Mt[i][j] for j in range(n)) for i in range(n)
+def _require_constant(M):
+    if _has_parameters(M):
+        raise ParameterNotSupported(
+            "matrix has free parameters; the answer would not hold for every value"
         )
-        best = max(best, mat_rank(sample))
-        if best == n:
+
+
+def pencil_invariants(M) -> PencilInvariants:
+    """Kronecker invariants of t*M + u*M^T for a square Scalar matrix.
+
+    A matrix with free parameters gets the invariants at generic values of
+    its parameters.
+    """
+    n = len(M)
+    if any(len(r) != n for r in M):
+        raise DimensionMismatch("pencil requires a square matrix")
+    if n == 0:
+        return PencilInvariants(0, 0, (), (), (), ())
+    if _has_parameters(M):
+        return _kronecker(_ScalarPencil(M))
+    return _invariants_gaussian(_gaussian_int_matrix(M))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _invariants_gaussian(M) -> PencilInvariants:
+    """Invariants of a constant pencil, cached on its primitive Gaussian
+    integer matrix: matrices that differ by a rational factor share one."""
+    return _kronecker(_GaussianPencil(M))
+
+
+def _kronecker(pen) -> PencilInvariants:
+    """The engine, on either kind of pencil.
+
+    The divisor points are visited in a fixed order: the roots of the linear
+    factors, each up to its multiplicity in the divisor multiple; infinity,
+    up to the regular size left; then the higher-degree factors, only while
+    regular size is left.
+    """
+    n, M, Mt = pen.n, pen.M, pen.Mt
+    rank_m = pen.grid_rank([[M]])
+    prank = 0
+    for k in range(n + 1):
+        prank = max(prank, pen.grid_rank([[pen.comb(pen.from_int(k), pen.from_int(1))]]))
+        if prank == n:
             break
-    return best
+    s = n - prank
+    right = _minimal_indices(M, Mt, s, n, pen.grid_rank)
+    left = _minimal_indices(Mt, M, s, n, pen.grid_rank)
+    regular = n - sum(right) - sum(left) - s
+    multiple = pen.divisor_multiple(prank) if prank else ()
+    factors = _factor(multiple) if len(multiple) > 1 else ()
+    finite = []
+
+    def visit(p, bound):
+        d = len(p) - 1
+        exps = _jet_exponents(
+            *_point(pen, p), s, n, bound, lambda grid: pen.grid_rank(grid) // d
+        )
+        finite.extend((_divisor_key(p), e) for e in exps)
+        return d * sum(exps)
+
+    for p, mult in factors:
+        if len(p) == 2:
+            regular -= visit(p, mult)
+    # infinite divisors: reversed pencil at 0 (value M, derivative M^T)
+    infinite = _jet_exponents(M, Mt, s, n, regular, pen.grid_rank)
+    regular -= sum(infinite)
+    for p, mult in factors:
+        d = len(p) - 1
+        if d > 1 and regular >= d:
+            regular -= visit(p, min(mult, regular // d))
+    return _assemble(n, rank_m, left, right, finite, infinite)
+
+
+def _point(pen, p):
+    """Value and slope at a root of the monic irreducible p of q times the
+    pencil, q the scale of pen.scaled.
+
+    The root is the companion matrix C of p (ones below the diagonal, -p_k
+    down the last column), so the value is C (x) M + I (x) M^T and the slope
+    I (x) M, as grids of d x d blocks.  For deg p = 1 they are the pencil's
+    value and slope at the root.
+    """
+    d = len(p) - 1
+    *last_col, q = pen.scaled(tuple(-c for c in p[:-1]) + (p[-1],))
+    zero = pen.zero
+
+    def companion(k, l):
+        return last_col[k] if l == d - 1 else q if k == l + 1 else zero
+
+    value = [
+        [pen.comb(companion(k, l), q if k == l else zero) for l in range(d)]
+        for k in range(d)
+    ]
+    slope = [[pen.comb(q, zero) if k == l else None for l in range(d)] for k in range(d)]
+    return pen.flatten(value), pen.flatten(slope)
 
 
 def _expansion_grid(M, Mt, d):
@@ -640,133 +610,14 @@ def _minimal_indices(M, Mt, count, n, grid_rank):
     return tuple(indices)
 
 
-def pencil_invariants(M, generic=False) -> PencilInvariants:
-    """Kronecker invariants of t*M + u*M^T for a square Scalar matrix."""
-    n = len(M)
-    if any(len(r) != n for r in M):
-        from .errors import DimensionMismatch
-
-        raise DimensionMismatch("pencil requires a square matrix")
-    if n == 0:
-        return PencilInvariants(0, 0, (), (), (), ())
-    if generic:
-        return _invariants_generic(M, n)
-    return _invariants_qi(_to_qi_matrix(M))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _invariants_qi(Q) -> PencilInvariants:
-    """Kronecker invariants of a constant pencil, by fraction-free ranks.
-
-    Divisors that do not split over Q(i) are missed by the roots, so the
-    blocks found do not tile the pencil; the Smith form decides those.
-    """
-    n = len(Q)
-    M = _gaussian_int_matrix(Q)
-    Mt = tuple([list(col) for col in zip(*part)] for part in M)
-    rank_m = _gaussian_rank(M)
-    prank = 0
-    for k in range(n + 1):
-        prank = max(prank, _gaussian_rank(_gcomb(((k, 0), M), ((1, 0), Mt))))
-        if prank == n:
-            break
-    s = n - prank
-    right = _minimal_indices(M, Mt, s, n, _gaussian_grid_rank)
-    left = _minimal_indices(Mt, M, s, n, _gaussian_grid_rank)
-    finite = []
-    for root, bound in _divisor_roots(M, Mt, prank):
-        # jets of q*(t*M + M^T) at t = root, with q*root a Gaussian integer
-        q = lcm(root.re.denominator, root.im.denominator)
-        value = _gcomb(((int(root.re * q), int(root.im * q)), M), ((q, 0), Mt))
-        exps = _jet_exponents(value, _gcomb(((q, 0), M)), s, n, bound)
-        key = _divisor_key((Scalar.const(-root), Scalar.const(QI_ONE)))
-        finite.extend((key, e) for e in exps)
-    # infinite divisors: reversed pencil at 0 (value M, derivative M^T), up
-    # to the regular size the finite divisors leave
-    regular = n - sum(right) - sum(left) - s - sum(e for _, e in finite)
-    infinite = _jet_exponents(M, Mt, s, n, regular)
-    try:
-        return _assemble(n, rank_m, left, right, finite, infinite)
-    except AssertionError:
-        Qt = transpose(Q)
-        return _invariants_smith(
-            Q, Qt, n, rank_m, prank, QI_ZERO, _factor_qi_upoly_str
-        )
-
-
-def _divisor_roots(M, Mt, prank):
-    """(root, bound) for the Gaussian-rational roots of a multiple of the
-    product of the finite divisors of t*M + M^T; bound is the root's
-    multiplicity in it, an upper bound for its exponents' sum.
-
-    The multiple is the gcd of up to two maximal minors of the realified
-    pencil, which is equivalent over C to the pencil plus its conjugate, so
-    its divisor product is a multiple of the pencil's.
-    """
-    if not prank:
-        return []
-    (P, w), (Pt, _) = _realify(M), _realify(Mt)
-    N, r = len(P), w * prank
-    want = 1 if r == N else 2  # a regular pencil has one maximal minor
-    keys = []
-    g = None
-    for k in range(2 * (N + 1)):
-        kk, rev = divmod(k, 2)
-        cand = [[kk * x + y for x, y in zip(a, b)] for a, b in zip(P, Pt)]
-        if rev:
-            cand.reverse()
-        rank, rows, cols = _rank_int(cand)
-        if rank != r:
-            continue
-        key = (tuple(sorted(N - 1 - i if rev else i for i in rows)), tuple(cols))
-        if key in keys:
-            continue
-        keys.append(key)
-        minor = _interp_minor_poly(P, Pt, *key)
-        g = _int_poly_primitive(minor) if g is None else _int_poly_gcd(g, minor)
-        if len(keys) == want:
-            break
-    if len(g) < 2:
-        return []
-    factors = _factor_qi_coeffs(tuple(QI(c) for c in g))
-    return [(-cs[0], e) for cs, e in factors if len(cs) == 2]
-
-
-def _interp_minor_poly(P, Pt, rows, cols):
-    """Integer coefficients of the (rows, cols) minor of t*P + Pt.
-
-    Newton's form on the points 0..r: the k-th forward difference of the
-    values of an integer polynomial is k! times an integer.
-    """
-    r = len(rows)
-    diffs = [
-        _bareiss_det_int([[p * P[i][j] + Pt[i][j] for j in cols] for i in rows])
-        for p in range(r + 1)
-    ]
-    newton = []
-    for k in range(r + 1):
-        newton.append(diffs[0] // factorial(k))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    # Horner's rule in the basis t(t-1)...(t-k+1)
-    coeffs = [newton[r]]
-    for k in range(r - 1, -1, -1):
-        shifted = [0] + coeffs
-        for i, c in enumerate(coeffs):
-            shifted[i] -= k * c
-        shifted[0] += newton[k]
-        coeffs = shifted
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _jet_exponents(value, slope, s, n, bound):
+def _jet_exponents(value, slope, s, n, bound, grid_rank):
     """Divisor exponents at one point from the nullities of its jet matrices.
 
     The jet matrix of order j is block upper bidiagonal, with the pencil's
-    value at the point on the diagonal and its derivative (slope) above it.
-    The chain stops when the exponents reach bound, an upper bound for their
-    sum; s is the number of right minimal indices.
+    value at the point on the diagonal and its derivative (slope) above it;
+    grid_rank(grid) is its rank over the field of the point.  The chain
+    stops when the exponents reach bound, an upper bound for their sum; s
+    is the number of right minimal indices.
     """
     at_least = []  # at_least[j - 1]: number of exponents >= j
     prev = 0
@@ -776,7 +627,7 @@ def _jet_exponents(value, slope, s, n, bound):
             [value if c == r else slope if c == r + 1 else None for c in range(j)]
             for r in range(j)
         ]
-        nul = j * n - _gaussian_grid_rank(grid)
+        nul = j * n - grid_rank(grid)
         count = (nul - prev) - s
         if count <= 0:
             break
@@ -801,59 +652,12 @@ def _assemble(n, rank_m, left, right, finite, infinite) -> PencilInvariants:
     return inv
 
 
-def _factor_qi_upoly_str(p: UPoly):
-    return tuple(
-        (_divisor_key(tuple(Scalar.const(c) for c in cs)), e)
-        for cs, e in _factor_qi_upoly(p)
-    )
-
-
-def _factor_scalar_upoly_str(p: UPoly):
-    return tuple((_divisor_key(cs), e) for cs, e in _factor_scalar_upoly(p))
-
-
-def _invariants_generic(M, n) -> PencilInvariants:
-    Mt = transpose(M)
-    rank_m = mat_rank(M)
-    prank = _pencil_rank(M, Mt, n, Scalar.rational)
-    from .scalars import SC_ZERO
-
-    return _invariants_smith(
-        M, Mt, n, rank_m, prank, SC_ZERO, _factor_scalar_upoly_str
-    )
-
-
-def _smith_divisors(M, Mt, n, factorizer):
-    pencil = [[UPoly((Mt[i][j], M[i][j])) for j in range(n)] for i in range(n)]
-    finite = []
-    for f in smith_invariant_factors(pencil):
-        finite.extend(factorizer(f))
-    reversed_pencil = [
-        [UPoly((M[i][j], Mt[i][j])) for j in range(n)] for i in range(n)
-    ]
-    infinite = []
-    for f in smith_invariant_factors(reversed_pencil):
-        e = f.trailing_zero_count()
-        if e:
-            infinite.append(e)
-    return finite, infinite
-
-
-def _invariants_smith(M, Mt, n, rank_m, prank, zero, factorizer) -> PencilInvariants:
-    def grid_rank(grid):
-        return mat_rank(_block_rows(grid, zero))
-
-    nidx = n - prank
-    right = _minimal_indices(M, Mt, nidx, n, grid_rank)
-    left = _minimal_indices(Mt, M, nidx, n, grid_rank)
-    finite, infinite = _smith_divisors(M, Mt, n, factorizer)
-    return _assemble(n, rank_m, left, right, finite, infinite)
-
-
 # ---------------------------------------------------------------------------
 # Congruence test and canonical decomposition
 # ---------------------------------------------------------------------------
 def is_congruent(M, N) -> bool:
+    _require_constant(M)
+    _require_constant(N)
     if len(M) != len(N):
         return False
     return pencil_invariants(M) == pencil_invariants(N)
@@ -897,8 +701,8 @@ def _candidate_regular_blocks(divisor, exp, max_size):
 
 def canonical_decomposition(M):
     """The unique multiset of canonical blocks whose sum is congruent to M."""
-    inv = pencil_invariants(M)
-    return decomposition_from_invariants(inv)
+    _require_constant(M)
+    return decomposition_from_invariants(pencil_invariants(M))
 
 
 def decomposition_from_invariants(inv: PencilInvariants):

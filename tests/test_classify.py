@@ -202,6 +202,12 @@ def test_every_nilpotent_entry_verifies():
             assert verify_nilpotent_entry(entry) == []
 
 
+def test_verify_reports_an_ineligible_entry():
+    # a solvable, non-nilpotent algebra: the failures are listed, not raised
+    fails = verify_nilpotent_entry(solvable_dim1_table()[0])
+    assert "algebra is not nilpotent" in fails
+
+
 def test_distinctness_dims_4_to_6():
     for n in (4, 5, 6):
         report = distinctness_report(n)

@@ -1,5 +1,6 @@
 import random
 import traceback
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -11,15 +12,14 @@ from leibniz_lab.blocks import (
     direct_sum_matrix,
 )
 from leibniz_lab.errors import DictionaryMiss, ParameterNotSupported
-from leibniz_lab.linalg import mat_mul, scalar_matrix, transpose
+from leibniz_lab.linalg import block_diag, mat_mul, scalar_matrix, transpose
 from leibniz_lab.pencil import (
-    UPoly,
+    PencilInvariants,
     block_invariants,
     canonical_decomposition,
     congruence_transform,
     is_congruent,
     pencil_invariants,
-    smith_invariant_factors,
 )
 from leibniz_lab.scalars import QI, SC_ONE, SC_ZERO, Scalar
 
@@ -28,10 +28,6 @@ S = Scalar.parse
 
 def B(kind, size, param=None):
     return CanonicalBlock(kind, size, S(param) if param else None)
-
-
-def U(*coeffs):
-    return UPoly([Scalar.rational(c) for c in coeffs])
 
 
 def _rand_unimodular(rng, n):
@@ -49,94 +45,83 @@ def _rand_unimodular(rng, n):
     return mat_mul(mat_mul(P, tuple(map(tuple, L))), tuple(map(tuple, Um)))
 
 
-# --- UPoly ----------------------------------------------------------------
+# --- an independent reference: invariant factors from gcds of minors --------
 
 
-def test_upoly_divmod():
-    a = U(-1, 0, 1)  # t^2 - 1
-    b = U(-1, 1)  # t - 1
-    q, r = a.divmod(b)
-    assert q == U(1, 1) and not r
-    q, r = U(1, 1, 1).divmod(U(2, 1))
-    assert b * q + r == b * q + r  # smoke: shapes compose
-    assert U(2, 1) * q + r == U(1, 1, 1)
-
-
-def test_upoly_arith():
-    assert U(1, 2) * U(3, 0, 1) == U(3, 6, 1, 2)
-    assert (U(1, 1) - U(1, 1)).degree == -1
-    assert U(0, 0, 2).trailing_zero_count() == 2
-
-
-# --- Smith normal form vs minor-gcd oracle ---------------------------------
-
-
-def _smith_oracle(rows):
-    """Invariant factors via gcds of k x k minors, computed with sympy."""
-    t = sympy.Symbol("t")
-    m = sympy.Matrix(
-        [[sum(sympy.Rational(str(c)) * t**k for k, c in _coeffs(x)) for x in row] for row in rows]
+def _to_sympy(x):
+    q = x.as_qi()
+    return sympy.Rational(q.re.numerator, q.re.denominator) + sympy.I * sympy.Rational(
+        q.im.numerator, q.im.denominator
     )
-    n = min(m.rows, m.cols)
-    gcds = [sympy.Integer(1)]
+
+
+def _from_sympy(c):
+    re_, im_ = (sympy.Rational(v) for v in sympy.sympify(c).as_real_imag())
+    return str(
+        Scalar.const(QI(Fraction(int(re_.p), int(re_.q)), Fraction(int(im_.p), int(im_.q))))
+    )
+
+
+def _smith_oracle(P, t):
+    """Invariant factors of a polynomial matrix over Q(i): quotients of the
+    gcds of its k x k minors, computed with sympy."""
+    n = P.rows
+    gcds = [sympy.Poly(1, t, domain="QQ_I")]
     for k in range(1, n + 1):
-        minors = []
-        for rs in combinations(range(m.rows), k):
-            for cs in combinations(range(m.cols), k):
-                d = m[rs, cs].det()
-                if d != 0:
-                    minors.append(sympy.Poly(d, t))
-        if not minors:
+        g = None
+        for rs in combinations(range(n), k):
+            for cs in combinations(range(n), k):
+                d = sympy.Poly(P.extract(list(rs), list(cs)).det(), t, domain="QQ_I")
+                if not d.is_zero:
+                    g = d if g is None else g.gcd(d)
+        if g is None:
             break
-        g = minors[0]
-        for p in minors[1:]:
-            g = g.gcd(p)
-        gcds.append(g.as_expr())
-    out = []
-    for k in range(1, len(gcds)):
-        q = sympy.cancel(gcds[k] / gcds[k - 1])
-        out.append(sympy.Poly(q, t).monic().as_expr())
-    return out
+        gcds.append(g.monic())
+    return [gcds[k].quo(gcds[k - 1]) for k in range(1, len(gcds))]
 
 
-def _coeffs(x):
-    return list(enumerate(c.as_qi().re for c in x.c)) if x else []
-
-
-def _upoly_to_sympy(p):
+def _reference_invariants(M, minimal_indices=()):
+    """Kronecker invariants of t*M + u*M^T for a constant matrix M whose
+    minimal indices (those of its A blocks) are known: finite divisors from
+    the invariant factors factored over Q(i), infinite ones from the powers
+    of t in the invariant factors of the reversed pencil M + t*M^T."""
     t = sympy.Symbol("t")
-    return sum(sympy.Rational(str(c.as_qi().re)) * t**k for k, c in enumerate(p.c))
+    A = sympy.Matrix([[_to_sympy(x) for x in row] for row in M])
+    finite = []
+    for f in _smith_oracle(t * A + A.T, t):
+        if f.degree() < 1:
+            continue
+        for g, e in sympy.factor_list(f.as_expr(), t, gaussian=True)[1]:
+            g = sympy.Poly(g, t, domain="QQ_I").monic()
+            key = tuple(_from_sympy(c) for c in reversed(g.all_coeffs()))
+            finite.append((key, int(e)))
+    infinite = []
+    for f in _smith_oracle(A + t * A.T, t):
+        coeffs = list(reversed(f.all_coeffs()))
+        e = next(k for k, c in enumerate(coeffs) if c != 0)
+        if e:
+            infinite.append(e)
+    idx = tuple(sorted(minimal_indices))
+    return PencilInvariants(
+        len(M), A.rank(), idx, idx, tuple(sorted(finite)), tuple(sorted(infinite))
+    )
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[U(0, 1), U(0)], [U(0), U(0, 0, 1)]],
-        [[U(1, 1), U(1)], [U(0), U(-1, 1)]],
-        [[U(2), U(0, 1)], [U(0, 1), U(1, 1)]],
-        [[U(0, 1), U(1), U(0)], [U(0), U(0, 1), U(1)], [U(0), U(0), U(0, 1)]],
-    ],
-)
-def test_smith_matches_minor_gcd_oracle(rows):
-    got = [_upoly_to_sympy(f) for f in smith_invariant_factors(rows)]
-    want = _smith_oracle(rows)
-    t = sympy.Symbol("t")
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert sympy.simplify(g - w) == 0
+def _scalar_instance(M):
+    """Invariants by the engine's Scalar instance, which parametric matrices get."""
+    from leibniz_lab.pencil import _ScalarPencil, _kronecker
+
+    return _kronecker(_ScalarPencil(M))
 
 
-def test_smith_divisibility_chain():
-    rng = random.Random(3)
-    for _ in range(10):
-        rows = [
-            [U(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(3)]
-            for _ in range(3)
-        ]
-        factors = smith_invariant_factors(rows)
-        for a, b in zip(factors, factors[1:]):
-            _, r = b.divmod(a)
-            assert not r
+# Regular pencils whose divisors do not split over Q(i): (t^2 + t + 1)^1 twice,
+# and (t^2 - t + 1)^2.
+NON_SPLIT = [
+    block_diag([scalar_matrix([["1", "1"], ["0", "1"]])] * 2),
+    scalar_matrix(
+        [["0", "0", "-1", "0"], ["0", "-1", "-1", "0"], ["1", "0", "0", "-1"], ["-1", "1", "0", "0"]]
+    ),
+]
 
 
 # --- pencil invariants: small cases checked by hand -------------------------
@@ -187,13 +172,35 @@ def test_b2_roots():
 
 
 def test_parameter_not_supported():
+    # generic invariants exist, but a decomposition or a congruence verdict
+    # would not hold for every value of c
+    M = canonical_block_matrix(B("B", 2, "c"))
     with pytest.raises(ParameterNotSupported):
-        pencil_invariants(canonical_block_matrix(B("B", 2, "c")))
+        canonical_decomposition(M)
+    with pytest.raises(ParameterNotSupported):
+        is_congruent(M, M)
+    with pytest.raises(ParameterNotSupported):
+        is_congruent(canonical_block_matrix(B("B", 2, "2")), M)
 
 
 def test_generic_mode_on_parametric_b2():
-    inv = pencil_invariants(canonical_block_matrix(B("B", 2, "c")), generic=True)
-    assert inv.finite_divisors == ((("1/c", "1"), 1), (("c", "1"), 1))
+    # a parameter may share its name with the pencil variable t
+    for c in ("c", "t"):
+        inv = pencil_invariants(canonical_block_matrix(B("B", 2, c)))
+        assert inv.finite_divisors == (((f"1/{c}", "1"), 1), ((c, "1"), 1))
+
+
+def test_two_parameter_entry_divisors():
+    from leibniz_lab.classify import nilpotent_table
+    from leibniz_lab.iso import iso_invariants
+
+    entry = nilpotent_table(6)[18]
+    assert entry.label == "nilpotent-dim6-item19"
+    inv = iso_invariants(entry.algebra).pencil
+    assert sorted(inv.finite_divisors) == sorted(
+        ((c, "1"), 1) for c in ("1", "c1", "1/c1", "c2", "1/c2")
+    )
+    assert inv.infinite_divisors == () and inv.right_indices == ()
 
 
 def test_block_dictionary_consistency():
@@ -219,10 +226,7 @@ def _gaussian_diagonal(n):
 
 
 def test_paths_agree_on_random_congruences():
-    from leibniz_lab.pencil import _invariants_smith, _to_qi_matrix
-    from leibniz_lab.pencil import _factor_qi_upoly_str, _pencil_rank
-    from leibniz_lab.linalg import rank as mat_rank
-
+    """The integer instance, the Scalar instance and the reference agree."""
     rng = random.Random(77)
     # (blocks, whether S is also scaled by the Gaussian diagonal)
     cases = [
@@ -248,28 +252,33 @@ def test_paths_agree_on_random_congruences():
             Smat = mat_mul(Smat, _gaussian_diagonal(len(M0)))
         M = congruence_transform(M0, Smat)
         got = pencil_invariants(M)
-        Q = _to_qi_matrix(M)
-        Qt = transpose(Q)
-        n = len(Q)
-        prank = _pencil_rank(Q, Qt, n, lambda k: QI(k))
-        want = _invariants_smith(
-            Q, Qt, n, mat_rank(Q), prank, QI(0), _factor_qi_upoly_str
-        )
-        assert got == want, blocks
+        indices = [(b.size - 1) // 2 for b in blocks if b.kind == "A"]
+        assert got == _reference_invariants(M, indices), blocks
+        assert _scalar_instance(M) == got, blocks
 
 
-def test_constant_pencils_stay_off_the_smith_form(monkeypatch):
-    """Singular pencils with rational or Gaussian entries whose divisors
-    split over Q(i) are decided without the polynomial Smith form, which
-    ran for minutes on the first of these inputs."""
-    import leibniz_lab.pencil as pencil
+def test_non_split_divisors():
+    """Divisors irreducible over Q(i) are found at the companion matrix of
+    their factor, and no canonical block carries them."""
+    rng = random.Random(5)
+    for M0 in NON_SPLIT:
+        want = _reference_invariants(M0)
+        assert any(len(cs) > 2 for cs, _ in want.finite_divisors)
+        for _ in range(5):
+            M = congruence_transform(M0, _rand_unimodular(rng, len(M0)))
+            assert pencil_invariants(M) == want
+            assert _scalar_instance(M) == want
+            with pytest.raises(DictionaryMiss):
+                canonical_decomposition(M)
+
+
+def test_constant_pencils_stay_off_the_smith_form():
+    """Singular pencils with rational or Gaussian entries.  The polynomial
+    Smith form, which this module no longer has, ran for minutes on the
+    first of these inputs."""
     from leibniz_lab.blocks import normalize_blocks
     from leibniz_lab.iso import random_invertible_matrix
 
-    def no_smith(*args):
-        pytest.fail("a constant pencil with split divisors reached the Smith form")
-
-    monkeypatch.setattr(pencil, "_invariants_smith", no_smith)
     cases = [
         (
             [B("C", 3), B("B", 2, "-3/2"), B("A", 1), B("C", 1)],
@@ -458,7 +467,7 @@ def test_decomposition_invariance_spot_checks_size_7():
 def test_generic_mode_singular_parametric():
     c = Scalar.param("c")
     M = direct_sum_matrix([B("A", 3), CanonicalBlock("B", 2, c)])
-    inv = pencil_invariants(M, generic=True)
+    inv = pencil_invariants(M)
     assert inv.left_indices == (1,) and inv.right_indices == (1,)
     assert inv.finite_divisors == ((("1/c", "1"), 1), (("c", "1"), 1))
     assert inv.infinite_divisors == ()
