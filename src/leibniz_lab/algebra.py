@@ -9,6 +9,7 @@ field), so callers wanting a specific parameter value substitute first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DimensionMismatch, SingularMatrix
 from .linalg import Subspace, freeze, inverse, nullspace, rref
@@ -95,45 +96,30 @@ def bracket(A: StructureConstants, u, v):
     return tuple(out)
 
 
-def _left_mul(A, i, w):
-    """[x_i, w] for a coefficient vector w."""
-    out = [SC_ZERO] * A.dim
-    row = A.tensor[i]
-    for j, wj in enumerate(w):
-        if not wj:
-            continue
-        for k, c in enumerate(row[j]):
-            if c:
-                out[k] = out[k] + wj * c
-    return out
-
-
-def _right_mul(A, w, j):
-    """[w, x_j] for a coefficient vector w."""
-    out = [SC_ZERO] * A.dim
-    for i, wi in enumerate(w):
-        if not wi:
-            continue
-        for k, c in enumerate(A.tensor[i][j]):
-            if c:
-                out[k] = out[k] + wi * c
-    return out
-
-
 def verify_leibniz(A: StructureConstants) -> bool:
-    """Left Leibniz identity [a,[b,c]] = [[a,b],c] + [b,[a,c]] on basis triples."""
-    n = A.dim
-    t = A.tensor
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = _left_mul(A, a, t[b][c])
-                mid = _right_mul(A, t[a][b], c)
-                rhs = _left_mul(A, b, t[a][c])
-                for k in range(n):
-                    if lhs[k] - mid[k] - rhs[k]:
-                        return False
+    """Left Leibniz identity [a,[b,c]] = [[a,b],c] + [b,[a,c]] on basis triples.
+
+    Both sides are summed over the nonzero products only and compared as
+    {k: nonzero coefficient of x_k}; scalars are canonical, so equal sides
+    are equal dictionaries.
+    """
+    prods = A.products()
+    for a, b, c in product(range(1, A.dim + 1), repeat=3):
+        lhs = [(s, a, k) for k, s in prods.get((b, c), ())]
+        rhs = [(s, k, c) for k, s in prods.get((a, b), ())]
+        rhs += [(s, b, k) for k, s in prods.get((a, c), ())]
+        if _combine(prods, lhs) != _combine(prods, rhs):
+            return False
     return True
+
+
+def _combine(prods, weighted):
+    """sum of s [x_i, x_j] over (s, i, j), as {k: nonzero coefficient}."""
+    out = {}
+    for s, i, j in weighted:
+        for k, c in prods.get((i, j), ()):
+            out[k] = out[k] + s * c if k in out else s * c
+    return {k: v for k, v in out.items() if v}
 
 
 def derived_subalgebra(A: StructureConstants) -> Subspace:

@@ -287,32 +287,34 @@ def load_reference_dim8_blocks():
     return [tuple(names) for names in json.loads(_fixture_text("dim8_blocks.json"))]
 
 
-def _entry_signature(A: StructureConstants):
-    sig = Counter()
-    for (i, j), terms in A.products().items():
-        for k, c in terms:
-            params = c.parameters()
-            text = "<param>" if params else str(c)
-            sig[(text, i == j)] += 1
-    return frozenset(sig.items())
+def _match_key(A: StructureConstants):
+    """(key, parameters): matching algebras have equal keys, whatever their
+    basis order and parameter names.  The key holds the dimension, the
+    parameter count and the entry signature: the multiset of (coefficient,
+    on the diagonal) over the nonzero products, parametric ones as "<param>".
+    """
+    params = A.parameters()
+    signature = Counter(
+        ("<param>" if c.parameters() else str(c), i == j)
+        for (i, j), terms in A.products().items()
+        for _, c in terms
+    )
+    return (A.dim, len(params), frozenset(signature.items())), params
+
+
+def _match_up_to_renaming(A, pa, B, pb) -> bool:
+    """Some renaming of pa to pb and basis permutation carries A onto B."""
+    for pperm in permutations(pb):
+        ren = _rename_tensor(A, dict(zip(pa, pperm)))
+        if _tensors_match_up_to_permutation(ren, B.tensor, A.dim):
+            return True
+    return False
 
 
 def algebras_match(A: StructureConstants, B: StructureConstants) -> bool:
     """True iff the tensors agree up to basis permutation + parameter renaming."""
-    if A.dim != B.dim:
-        return False
-    pa, pb = A.parameters(), B.parameters()
-    if len(pa) != len(pb):
-        return False
-    if _entry_signature(A) != _entry_signature(B):
-        return False
-    n = A.dim
-    for pperm in permutations(pb):
-        mapping = dict(zip(pa, pperm))
-        ren = _rename_tensor(A, mapping)
-        if _tensors_match_up_to_permutation(ren, B.tensor, n):
-            return True
-    return False
+    (key_a, pa), (key_b, pb) = _match_key(A), _match_key(B)
+    return key_a == key_b and _match_up_to_renaming(A, pa, B, pb)
 
 
 def _rename_tensor(A: StructureConstants, mapping):
@@ -398,10 +400,16 @@ def match_paper_table(n: int, entries=None) -> MatchReport:
         entries = nilpotent_table(n)
     refs = load_reference_table(n)
     report = MatchReport(dim=n)
+    refs_by_key = {}
+    for ri, ref in enumerate(refs):
+        key, params = _match_key(ref.algebra)
+        refs_by_key.setdefault(key, []).append((ri, params))
+    gen_keys = [_match_key(entry.algebra) for entry in entries]
     edges = {}
-    for gi, entry in enumerate(entries):
-        for ri, ref in enumerate(refs):
-            if algebras_match(entry.algebra, ref.algebra):
+    for gi, (key, params) in enumerate(gen_keys):
+        A = entries[gi].algebra
+        for ri, ref_params in refs_by_key.get(key, ()):
+            if _match_up_to_renaming(A, params, refs[ri].algebra, ref_params):
                 edges.setdefault(gi, []).append(ri)
     match_of_ref = {}
 
@@ -427,8 +435,8 @@ def match_paper_table(n: int, entries=None) -> MatchReport:
     for ri, ref in enumerate(refs):
         if ri not in match_of_ref:
             report.unmatched_reference.append(ref.algebra.label)
-    for entry in entries:
-        if entry.algebra.parameters():
+    for entry, (_, params) in zip(entries, gen_keys):
+        if params:
             report.reciprocal_parameter_families.append(entry.label)
     return report
 

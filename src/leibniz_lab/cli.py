@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import classify as cls
-from .algebra import is_lie, is_nilpotent, is_solvable, leib_ideal, verify_leibniz
+from .algebra import leib_ideal, verify_leibniz
 from .blocks import blocks_name
 from .errors import LeibnizLabError, MalformedFile
 from .formats import (
@@ -50,13 +50,15 @@ def cmd_analyze(args):
         "invariants": None,
     }
     if leibniz:
-        li = leib_ideal(A)
+        inv = iso_invariants(A)
+        lc, ds = inv.dim_lower_central, inv.dim_derived
         out.update(
-            nilpotent=is_nilpotent(A),
-            solvable=is_solvable(A),
-            lie=is_lie(A),
-            leib_basis=[[str(x) for x in row] for row in li.basis],
-            invariants=iso_invariants(A).to_json(),
+            # a perfect algebra (A^2 = A) has empty series tuples
+            nilpotent=bool(lc) and lc[-1] == 0,
+            solvable=bool(ds) and ds[-1] == 0,
+            lie=inv.dim_leib == 0,
+            leib_basis=[[str(x) for x in row] for row in leib_ideal(A).basis],
+            invariants=inv.to_json(),
         )
     sys.stdout.write(dumps_canonical(out))
     return 0

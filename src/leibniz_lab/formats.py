@@ -17,6 +17,9 @@ from .errors import MalformedFile, ScalarSyntaxError
 from .scalars import ParameterConstraint, Scalar, parse_scalar
 
 
+MAX_DIM = 64  # a file's dense structure tensor holds dim^3 scalars
+
+
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -58,8 +61,8 @@ def algebra_to_doc(A: StructureConstants, blocks=None) -> dict:
 def doc_to_algebra(doc) -> AlgebraDocument:
     try:
         dim = doc["dim"]
-        if not isinstance(dim, int) or dim < 1:
-            raise MalformedFile(f"bad dim {dim!r}")
+        if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+            raise MalformedFile(f"bad dim {dim!r}, need 1..{MAX_DIM}")
         basis = doc.get("basis") or [f"x{k + 1}" for k in range(dim)]
         if len(basis) != dim:
             raise MalformedFile("basis length does not match dim")
@@ -98,12 +101,19 @@ def store_algebra(A: StructureConstants, blocks=None) -> str:
     return dumps_canonical(algebra_to_doc(A, blocks))
 
 
-def load_algebra(text: str) -> AlgebraDocument:
+def _load_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFile(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return doc_to_algebra(doc)
+    except ValueError as exc:  # an integer past the int-string limit
+        raise MalformedFile(f"bad JSON: {exc}") from exc
+    except RecursionError:
+        raise MalformedFile("JSON nested too deeply") from None
+
+
+def load_algebra(text: str) -> AlgebraDocument:
+    return doc_to_algebra(_load_json(text))
 
 
 def store_table(entries_docs) -> str:
@@ -111,10 +121,7 @@ def store_table(entries_docs) -> str:
 
 
 def load_table(text: str):
-    try:
-        docs = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    docs = _load_json(text)
     if not isinstance(docs, list):
         raise MalformedFile("table file must hold a JSON list")
     return [doc_to_algebra(d) for d in docs]

@@ -112,18 +112,18 @@ class IsoVerdict:
 def isomorphic_dim1_nilpotent(A: StructureConstants, B: StructureConstants) -> IsoVerdict:
     if A.parameters() or B.parameters():
         raise PreconditionFailed("constant structure constants required")
-    form_a, _ = form_from_algebra(A)
-    form_b, _ = form_from_algebra(B)
+    form_a, xa = form_from_algebra(A)
+    form_b, xb = form_from_algebra(B)
     if A.dim != B.dim:
         return IsoVerdict(False, None)
-    same = pencil_invariants(form_a) == pencil_invariants(form_b)
-    if not same:
+    if pencil_invariants(form_a) != pencil_invariants(form_b):
         return IsoVerdict(False, None)
     witness = None
     if A.dim <= 7:
         S = _congruence_witness(form_a, form_b)
-        if S is not None and _is_form_algebra(A) and _is_form_algebra(B):
-            n = A.dim
+        # S acts on x_1..x_{n-1}; extending it by x_n -> x_n needs A^2 = span(x_n)
+        n = A.dim
+        if S is not None and xa == xb == identity(n)[n - 1]:
             P = [[SC_ZERO] * n for _ in range(n)]
             for i in range(n - 1):
                 for j in range(n - 1):
@@ -133,18 +133,6 @@ def isomorphic_dim1_nilpotent(A: StructureConstants, B: StructureConstants) -> I
             if change_of_basis(A, P).tensor == B.tensor:
                 witness = P
     return IsoVerdict(True, witness)
-
-
-def _is_form_algebra(A: StructureConstants) -> bool:
-    """Products land in the last basis vector, which annihilates both sides."""
-    n = A.dim
-    for i in range(n):
-        if any(A.tensor[i][n - 1]) or any(A.tensor[n - 1][i]):
-            return False
-        for j in range(n):
-            if any(A.tensor[i][j][: n - 1]):
-                return False
-    return True
 
 
 def _split_segments(M):

@@ -816,30 +816,33 @@ def _tokenize(text: str):
     return tokens
 
 
+MAX_NESTING = 100  # parentheses and unary minus: bounds the parser's recursion
+
+
 def parse_scalar(text: str) -> Scalar:
     tokens = _tokenize(text)
     if not tokens:
         raise ScalarSyntaxError("empty scalar", 0)
-    value, k = _parse_expr(tokens, 0, text)
+    value, k = _parse_expr(tokens, 0, text, 0)
     if k != len(tokens):
         raise ScalarSyntaxError("trailing input", tokens[k][2])
     return value
 
 
-def _parse_expr(tokens, k, text):
-    value, k = _parse_term(tokens, k, text)
+def _parse_expr(tokens, k, text, depth):
+    value, k = _parse_term(tokens, k, text, depth)
     while k < len(tokens) and tokens[k][0] == "op" and tokens[k][1] in "+-":
         op = tokens[k][1]
-        rhs, k = _parse_term(tokens, k + 1, text)
+        rhs, k = _parse_term(tokens, k + 1, text, depth)
         value = value + rhs if op == "+" else value - rhs
     return value, k
 
 
-def _parse_term(tokens, k, text):
-    value, k = _parse_factor(tokens, k, text)
+def _parse_term(tokens, k, text, depth):
+    value, k = _parse_factor(tokens, k, text, depth)
     while k < len(tokens) and tokens[k][0] == "op" and tokens[k][1] in "*/":
         op = tokens[k][1]
-        rhs, k = _parse_factor(tokens, k + 1, text)
+        rhs, k = _parse_factor(tokens, k + 1, text, depth)
         if op == "*":
             value = value * rhs
         else:
@@ -849,21 +852,26 @@ def _parse_term(tokens, k, text):
     return value, k
 
 
-def _parse_factor(tokens, k, text):
+def _parse_factor(tokens, k, text, depth):
     if k >= len(tokens):
         raise ScalarSyntaxError("unexpected end of scalar", len(text))
     kind, tok, pos = tokens[k]
+    if depth > MAX_NESTING:
+        raise ScalarSyntaxError(f"nested deeper than {MAX_NESTING}", pos)
     if kind == "op" and tok == "-":
-        value, k = _parse_factor(tokens, k + 1, text)
+        value, k = _parse_factor(tokens, k + 1, text, depth + 1)
         return -value, k
     if kind == "int":
-        return Scalar.rational(int(tok)), k + 1
+        try:
+            return Scalar.rational(int(tok)), k + 1
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise ScalarSyntaxError("integer too long", pos) from None
     if kind == "name":
         if tok == "i":
             return Scalar.imag(), k + 1
         return Scalar.param(tok), k + 1
     if kind == "op" and tok == "(":
-        value, k = _parse_expr(tokens, k + 1, text)
+        value, k = _parse_expr(tokens, k + 1, text, depth + 1)
         if k >= len(tokens) or tokens[k][1] != ")":
             raise ScalarSyntaxError("missing closing parenthesis", pos)
         return value, k + 1

@@ -19,6 +19,7 @@ from leibniz_lab.algebra import (
     product_subspace,
     quotient_bracket_is_skew,
     substitute_algebra,
+    verify_leibniz,
 )
 from leibniz_lab.errors import SingularMatrix
 from leibniz_lab.linalg import Subspace, identity, mat_mul, scalar_matrix
@@ -73,8 +74,6 @@ def test_bracket_polarization_vanishes_on_item3():
 
 
 def test_verify_leibniz():
-    from leibniz_lab.algebra import verify_leibniz
-
     assert verify_leibniz(ITEM2)
     assert verify_leibniz(ABELIAN3)
     bad = alg(1, {(1, 1): (1, "1")})
@@ -190,8 +189,6 @@ def test_change_of_basis_preserves_predicates():
         )
         for _ in range(100):
             B = change_of_basis(A, rand_inv(A.dim))
-            from leibniz_lab.algebra import verify_leibniz
-
             assert verify_leibniz(B)
             assert base == (
                 is_nilpotent(B),
@@ -253,3 +250,59 @@ def test_products_round_trip():
     prods = ITEM2.products()
     again = StructureConstants.from_products(4, prods)
     assert again == ITEM2
+
+
+def _leibniz_reference(A):
+    """[a,[b,c]] = [[a,b],c] + [b,[a,c]] evaluated densely through bracket."""
+    n = A.dim
+    basis = [e(n, k) for k in range(n)]
+    for a in basis:
+        for b in basis:
+            ab = bracket(A, a, b)
+            for c in basis:
+                lhs = bracket(A, a, bracket(A, b, c))
+                mid = bracket(A, ab, c)
+                rhs = bracket(A, b, bracket(A, a, c))
+                if lhs != tuple(x + y for x, y in zip(mid, rhs)):
+                    return False
+    return True
+
+
+def _perturb(A, rng, parametric):
+    """A with one structure constant shifted by a nonzero integer or by d."""
+    n = A.dim
+    t = [[list(v) for v in row] for row in A.tensor]
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    if parametric:
+        shift = Scalar.param("d")
+    else:
+        shift = Scalar.rational(rng.choice([-2, -1, 1, 3]))
+    t[i][j][k] = t[i][j][k] + shift
+    return StructureConstants(n, tuple(tuple(tuple(v) for v in row) for row in t))
+
+
+def test_verify_leibniz_matches_dense_reference():
+    from leibniz_lab.classify import (
+        dim3_solvable_table,
+        nilpotent_table,
+        solvable_dim1_table,
+    )
+    from leibniz_lab.iso import random_invertible_matrix
+
+    rng = random.Random(7)
+    table = [x.algebra for n in range(4, 9) for x in nilpotent_table(n)]
+    table += [x.algebra for x in solvable_dim1_table() + dim3_solvable_table()]
+    dense = []
+    for n, count in ((4, 10), (5, 8), (6, 4)):
+        consts = [A for A in table if A.dim == n and not A.parameters()]
+        for _ in range(count):
+            P = random_invertible_matrix(n, rng)
+            dense.append(change_of_basis(rng.choice(consts), P))
+    cases = table + dense
+    cases += [_perturb(A, rng, parametric=i % 2) for i, A in enumerate(table)]
+    cases += [_perturb(A, rng, parametric=p) for A in dense for p in (0, 1)]
+    verdicts = [verify_leibniz(A) for A in cases]
+    assert verdicts == [_leibniz_reference(A) for A in cases]
+    assert len(cases) >= 400
+    assert all(verdicts[: len(table) + len(dense)])
+    assert verdicts.count(False) >= 150, verdicts.count(False)

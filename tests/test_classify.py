@@ -1,6 +1,10 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from leibniz_lab.algebra import (
+    StructureConstants,
     center,
     derived_series,
     derived_subalgebra,
@@ -26,6 +30,8 @@ from leibniz_lab.classify import (
     verify_nilpotent_entry,
     verify_solvable_entry,
 )
+from leibniz_lab.scalars import Scalar
+
 
 def test_partitions_of_four():
     assert partitions(4) == [
@@ -148,6 +154,31 @@ def test_match_survives_basis_permutation():
     assert algebras_match(entry.algebra, permuted)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_match_survives_permutation_and_renaming(n):
+    """Matching keys and search ignore basis order and parameter names."""
+    rng = random.Random(n)
+    moved = []
+    for entry in nilpotent_table(n):
+        A = entry.algebra
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        names = list(A.parameters())
+        rng.shuffle(names)
+        renaming = {p: f"q{names.index(p)}" for p in names}
+        prods = {
+            (perm[i - 1], perm[j - 1]): [
+                (perm[k - 1], c.rename_params(renaming)) for k, c in terms
+            ]
+            for (i, j), terms in A.products().items()
+        }
+        B = StructureConstants.from_products(n, prods, label=A.label)
+        moved.append(replace(entry, algebra=B))
+    report = match_paper_table(n, moved)
+    assert report.perfect
+    assert report.pairs == match_paper_table(n).pairs
+
+
 def test_solvable_dim1_table():
     table = solvable_dim1_table()
     assert len(table) == 1
@@ -200,6 +231,17 @@ def test_every_nilpotent_entry_verifies():
     for n in (4, 5):
         for entry in nilpotent_table(n):
             assert verify_nilpotent_entry(entry) == []
+
+
+def test_verify_reports_a_perturbed_entry():
+    # at a = b = c = x1 the identity says [[x1,x1],x1] = 0; once [x1,x1]
+    # has an x1 term, so has [[x1,x1],x1]
+    for entry in nilpotent_table(5):
+        prods = entry.algebra.products()
+        prods[(1, 1)] = prods.get((1, 1), []) + [(1, Scalar.rational(1))]
+        bad = StructureConstants.from_products(5, prods, label=entry.label)
+        fails = verify_nilpotent_entry(replace(entry, algebra=bad))
+        assert "leibniz identity fails" in fails
 
 
 def test_verify_reports_an_ineligible_entry():

@@ -125,6 +125,59 @@ def test_malformed_file_reports_position(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "verb, text",
+    [
+        ("canonical-form", "(" * 3000 + "1" + ")" * 3000),
+        ("canonical-form", "7" * 5000),
+        (
+            "analyze",
+            json.dumps(
+                {
+                    "dim": 2,
+                    "products": [
+                        {"left": 1, "right": 1, "result": [[2, "(" * 3000 + "1" + ")" * 3000]]}
+                    ],
+                }
+            ),
+        ),
+        ("analyze", "[" * 200000 + "]" * 200000),
+    ],
+    ids=["deep-matrix-entry", "long-integer", "deep-algebra-scalar", "deep-json"],
+)
+def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, verb, text):
+    path = tmp_path / "hostile"
+    path.write_text(text)
+    code, out, err = run_cli([verb, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_perfect_lie_algebra(tmp_path, capsys):
+    # sl2: [h,e] = 2e, [h,f] = -2f, [e,f] = h, skew; perfect, so neither
+    # nilpotent nor solvable
+    sl2 = {
+        "dim": 3,
+        "basis": ["h", "e", "f"],
+        "products": [
+            {"left": 1, "right": 2, "result": [[2, "2"]]},
+            {"left": 2, "right": 1, "result": [[2, "-2"]]},
+            {"left": 1, "right": 3, "result": [[3, "-2"]]},
+            {"left": 3, "right": 1, "result": [[3, "2"]]},
+            {"left": 2, "right": 3, "result": [[1, "1"]]},
+            {"left": 3, "right": 2, "result": [[1, "-1"]]},
+        ],
+    }
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(sl2))
+    code, out, _ = run_cli(["analyze", str(path)], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["leibniz"] and data["lie"]
+    assert data["nilpotent"] is False and data["solvable"] is False
+    assert data["invariants"]["lower_central_dims"] == []
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run_cli(["classify", "--dim", "6"], capsys)
     _, out2, _ = run_cli(["classify", "--dim", "6"], capsys)
