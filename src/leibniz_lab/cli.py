@@ -11,9 +11,9 @@ import os
 import sys
 
 from . import classify as cls
-from .algebra import leib_ideal, verify_leibniz
+from .algebra import leib_ideal
 from .blocks import blocks_name
-from .errors import LeibnizLabError, MalformedFile
+from .errors import LeibnizLabError, MalformedFile, PreconditionFailed
 from .formats import (
     algebra_to_doc,
     dumps_canonical,
@@ -38,19 +38,21 @@ def _read(path):
 def cmd_analyze(args):
     doc = load_algebra(_read(args.algebra_file))
     A = doc.algebra
-    leibniz = verify_leibniz(A)
+    try:
+        inv = iso_invariants(A)
+    except PreconditionFailed:  # its Leibniz check failed
+        inv = None
     out = {
         "label": A.label,
         "dim": A.dim,
-        "leibniz": leibniz,
+        "leibniz": inv is not None,
         "nilpotent": None,
         "solvable": None,
         "lie": None,
         "leib_basis": None,
         "invariants": None,
     }
-    if leibniz:
-        inv = iso_invariants(A)
+    if inv is not None:
         lc, ds = inv.dim_lower_central, inv.dim_derived
         out.update(
             # a perfect algebra (A^2 = A) has empty series tuples

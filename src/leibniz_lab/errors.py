@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+EXCERPT_CHARS = 40  # input quoted in an error message
+
+
+def excerpt(text: str) -> str:
+    """text cut to its first EXCERPT_CHARS characters, for error messages."""
+    return text if len(text) <= EXCERPT_CHARS else text[:EXCERPT_CHARS] + "..."
+
 
 class LeibnizLabError(Exception):
     pass

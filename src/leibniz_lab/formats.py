@@ -13,11 +13,12 @@ import json
 from dataclasses import dataclass
 
 from .algebra import StructureConstants
-from .errors import MalformedFile, ScalarSyntaxError
+from .errors import DivisionByZero, MalformedFile, ScalarSyntaxError, excerpt
 from .scalars import ParameterConstraint, Scalar, parse_scalar
 
 
 MAX_DIM = 64  # a file's dense structure tensor holds dim^3 scalars
+MAX_TABLE_ENTRIES = 2**20  # dim^3 summed over the documents of a table file
 
 
 def dumps_canonical(obj) -> str:
@@ -62,7 +63,7 @@ def doc_to_algebra(doc) -> AlgebraDocument:
     try:
         dim = doc["dim"]
         if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
-            raise MalformedFile(f"bad dim {dim!r}, need 1..{MAX_DIM}")
+            raise MalformedFile(f"bad dim {excerpt(repr(dim))}, need 1..{MAX_DIM}")
         basis = doc.get("basis") or [f"x{k + 1}" for k in range(dim)]
         if len(basis) != dim:
             raise MalformedFile("basis length does not match dim")
@@ -91,7 +92,7 @@ def doc_to_algebra(doc) -> AlgebraDocument:
         return AlgebraDocument(A, blocks)
     except MalformedFile:
         raise
-    except ScalarSyntaxError as exc:
+    except (ScalarSyntaxError, DivisionByZero) as exc:
         raise MalformedFile(f"bad scalar: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"bad algebra document: {exc}") from exc
@@ -124,6 +125,12 @@ def load_table(text: str):
     docs = _load_json(text)
     if not isinstance(docs, list):
         raise MalformedFile("table file must hold a JSON list")
+    dims = (d.get("dim") if isinstance(d, dict) else None for d in docs)
+    total = sum(n**3 for n in dims if isinstance(n, int) and 1 <= n <= MAX_DIM)
+    if total > MAX_TABLE_ENTRIES:
+        raise MalformedFile(
+            f"table needs {total} structure constants, more than {MAX_TABLE_ENTRIES}"
+        )
     return [doc_to_algebra(d) for d in docs]
 
 
@@ -141,9 +148,9 @@ def load_matrix(text: str):
         for ci, cell in enumerate(row_text.split(",")):
             try:
                 row.append(parse_scalar(cell.strip()))
-            except ScalarSyntaxError as exc:
+            except (ScalarSyntaxError, DivisionByZero) as exc:
                 raise MalformedFile(
-                    f"bad matrix entry {cell.strip()!r}: {exc}",
+                    f"bad matrix entry {excerpt(repr(cell.strip()))}: {exc}",
                     line=li + 1,
                     column=ci + 1,
                 ) from exc

@@ -65,6 +65,12 @@ class IsoInvariants:
 
 
 def iso_invariants(A: StructureConstants) -> IsoInvariants:
+    """Isomorphism invariants of a Leibniz algebra.
+
+    Raises PreconditionFailed exactly when A is not Leibniz: the form
+    precondition of the pencil step follows from Leibniz, nilpotent and
+    dim A^2 = 1 (see form_from_algebra).
+    """
     if not verify_leibniz(A):
         raise PreconditionFailed("not a Leibniz algebra")
     lcs = lower_central_series(A)

@@ -17,7 +17,8 @@ Gaussian integer matrix and ranked fraction-free, a rank over K = Q(i) being
 half the integer rank of the realification [[Re, -Im], [Im, Re]].  A matrix
 with free parameters is ranked by Scalar row reduction over K = Q(i)(params),
 so its invariants are those of generic parameter values.  sympy supplies
-exact factorization.
+exact factorization: of an integer divisor multiple over Z for a constant
+matrix, of a Scalar one over Q(i)(params) for a parametric matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import floordiv, truediv
 
 from .blocks import CanonicalBlock, canonical_block_matrix, normalize_blocks
@@ -40,7 +41,7 @@ _CACHE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
-# Exact factorization over Q(i)(params), via sympy
+# Exact factorization over Q(i) and Q(i)(params), via sympy
 # ---------------------------------------------------------------------------
 def _qi_to_sympy(q: QI):
     import sympy
@@ -85,8 +86,51 @@ def _sympy_poly_to_scalar_coeffs(f, gens, params):
     return [coeffs.get(k, SC_ZERO) for k in range(max(coeffs) + 1)]
 
 
+def _sorted_factors(out):
+    """The factor tuple both factoring routes return, in one fixed order."""
+    return tuple(sorted(out, key=lambda fe: (len(fe[0]), _divisor_key(fe[0]), fe[1])))
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _factor(coeffs):
+def _factor_int(coeffs):
+    """Irreducible factors over Q(i) of the nonconstant integer polynomial
+    with int coefficients coeffs (low to high): a tuple of (monic Scalar
+    coefficient tuple, exponent).
+
+    One sympy.factor_list over ZZ gives the factors over Q.  A quadratic
+    a t^2 + b t + c among them splits over Q(i) exactly when its
+    discriminant is minus a square d^2, into t - (-b +- d i)/(2a); any other
+    quadratic has its roots outside Q(i).  Only factors of degree >= 3 are
+    factored again, with gaussian=True: t^4 + 1 = (t^2 - i)(t^2 + i).
+    """
+    import sympy
+
+    t = sympy.Dummy("t")
+    out = []
+    for f, e in sympy.factor_list(sympy.Poly(coeffs[::-1], t, domain=sympy.ZZ))[1]:
+        cs = [int(c) for c in reversed(f.all_coeffs())]
+        e = int(e)
+        if len(cs) == 2:
+            out.append(((Scalar.rational(*cs), SC_ONE), e))
+        elif len(cs) == 3:
+            c, b, a = cs
+            minus_disc = 4 * a * c - b * b
+            d = isqrt(max(minus_disc, 0))
+            if d and d * d == minus_disc:
+                for s in (d, -d):
+                    root = QI(Fraction(-b, 2 * a), Fraction(s, 2 * a))
+                    out.append(((Scalar.const(-root), SC_ONE), e))
+            else:
+                out.append(((Scalar.rational(c, a), Scalar.rational(b, a), SC_ONE), e))
+        else:
+            for g, e2 in sympy.factor_list(f, gaussian=True)[1]:
+                cs = tuple(Scalar.const(_sympy_to_qi(x)) for x in g.monic().all_coeffs())
+                out.append((cs[::-1], e * int(e2)))
+    return _sorted_factors(out)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _factor_scalar(coeffs):
     """Irreducible factors over Q(i)(params) of the polynomial in t with
     Scalar coefficients coeffs (low to high): a tuple of (monic coefficient
     tuple, exponent), factors free of t dropped.
@@ -116,8 +160,7 @@ def _factor(coeffs):
             cs = _sympy_poly_to_scalar_coeffs(g, gens, params)
             inv = cs[-1].inverse()
             out.append((tuple(x * inv for x in cs), int(e) * int(e2)))
-    out.sort(key=lambda fe: (len(fe[0]), _divisor_key(fe[0]), fe[1]))
-    return tuple(out)
+    return _sorted_factors(out)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +438,9 @@ class _GaussianPencil:
             g = _int_poly_primitive(minor) if g is None else _int_poly_gcd(g, minor)
             if len(keys) == want:
                 break
-        return tuple(Scalar.rational(c) for c in g)
+        return tuple(g)
+
+    factor = staticmethod(_factor_int)
 
 
 class _ScalarPencil:
@@ -441,6 +486,8 @@ class _ScalarPencil:
             at = self.comb(Scalar.rational(p), SC_ONE)
             values.append(det([[at[i][j] for j in cols] for i in rows]))
         return tuple(_interpolate(values, Scalar.rational, truediv))
+
+    factor = staticmethod(_factor_scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +578,7 @@ def _kronecker(pen) -> PencilInvariants:
     left = _minimal_indices(Mt, M, s, n, pen.grid_rank)
     regular = n - sum(right) - sum(left) - s
     multiple = pen.divisor_multiple(prank) if prank else ()
-    factors = _factor(multiple) if len(multiple) > 1 else ()
+    factors = pen.factor(multiple) if len(multiple) > 1 else ()
     finite = []
 
     def visit(p, bound):

@@ -17,6 +17,7 @@ from .errors import (
     DenominatorVanishes,
     DivisionByZero,
     ScalarSyntaxError,
+    excerpt,
 )
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -847,7 +848,7 @@ def _parse_term(tokens, k, text, depth):
             value = value * rhs
         else:
             if not rhs:
-                raise DivisionByZero(f"division by zero in {text!r}")
+                raise DivisionByZero(f"division by zero in {excerpt(repr(text))}")
             value = value / rhs
     return value, k
 

@@ -14,6 +14,13 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
+def _one_product_doc(scalar):
+    """A dim-2 algebra file with [x1, x1] = scalar * x2."""
+    return json.dumps(
+        {"dim": 2, "products": [{"left": 1, "right": 1, "result": [[2, scalar]]}]}
+    )
+
+
 def test_classify_dim5_json(capsys):
     code, out, _ = run_cli(["classify", "--dim", "5", "--format", "json"], capsys)
     assert code == 0
@@ -95,6 +102,40 @@ def test_analyze(tmp_path, capsys):
     assert data["invariants"]["leib_dim"] == 1
 
 
+def test_analyze_runs_the_leibniz_check_once(tmp_path, capsys, monkeypatch):
+    from leibniz_lab import algebra, cli, iso
+
+    check = algebra.verify_leibniz
+    calls = []
+
+    def counted(A):
+        calls.append(A.label)
+        return check(A)
+
+    for mod in (algebra, iso, cli):
+        if getattr(mod, "verify_leibniz", None) is check:
+            monkeypatch.setattr(mod, "verify_leibniz", counted)
+    not_leibniz = {"dim": 1, "products": [{"left": 1, "right": 1, "result": [[1, "1"]]}]}
+    docs = [store_algebra(e.algebra) for e in nilpotent_table(5)[:3]]
+    docs.append(json.dumps(not_leibniz))
+    for k, text in enumerate(docs):
+        path = tmp_path / f"a{k}.json"
+        path.write_text(text)
+        calls.clear()
+        code, out, _ = run_cli(["analyze", str(path)], capsys)
+        assert code == 0 and len(calls) == 1
+    assert json.loads(out) == {
+        "label": None,
+        "dim": 1,
+        "leibniz": False,
+        "nilpotent": None,
+        "solvable": None,
+        "lie": None,
+        "leib_basis": None,
+        "invariants": None,
+    }
+
+
 def test_fuzz_deterministic(tmp_path, capsys, monkeypatch):
     path = tmp_path / "a.json"
     path.write_text(store_algebra(nilpotent_table(4)[1].algebra))
@@ -130,20 +171,23 @@ def test_malformed_file_reports_position(tmp_path, capsys):
     [
         ("canonical-form", "(" * 3000 + "1" + ")" * 3000),
         ("canonical-form", "7" * 5000),
-        (
-            "analyze",
-            json.dumps(
-                {
-                    "dim": 2,
-                    "products": [
-                        {"left": 1, "right": 1, "result": [[2, "(" * 3000 + "1" + ")" * 3000]]}
-                    ],
-                }
-            ),
-        ),
+        ("analyze", _one_product_doc("(" * 3000 + "1" + ")" * 3000)),
         ("analyze", "[" * 200000 + "]" * 200000),
+        ("canonical-form", "1,0;0,1/0"),
+        ("analyze", _one_product_doc("1/0")),
+        ("canonical-form", "1" * 5000 + "$"),
+        ("analyze", _one_product_doc("1/(" + "+".join(["1"] * 2000) + "-2000)")),
     ],
-    ids=["deep-matrix-entry", "long-integer", "deep-algebra-scalar", "deep-json"],
+    ids=[
+        "deep-matrix-entry",
+        "long-integer",
+        "deep-algebra-scalar",
+        "deep-json",
+        "division-by-zero",
+        "algebra-division-by-zero",
+        "long-bad-cell",
+        "long-division-by-zero",
+    ],
 )
 def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, verb, text):
     path = tmp_path / "hostile"
@@ -151,6 +195,7 @@ def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, verb, text):
     code, out, err = run_cli([verb, str(path)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) <= 200  # a bad cell is quoted, not echoed whole
 
 
 def test_analyze_perfect_lie_algebra(tmp_path, capsys):

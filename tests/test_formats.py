@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from leibniz_lab.classify import (
 )
 from leibniz_lab.errors import LeibnizLabError, MalformedFile
 from leibniz_lab.formats import (
+    MAX_TABLE_ENTRIES,
     algebra_to_doc,
     doc_to_algebra,
     dumps_canonical,
@@ -192,3 +194,20 @@ def test_nesting_and_long_integers_are_malformed():
             load_table(text)
     # nesting up to the bound still parses
     assert parse_scalar("(" * 100 + "2" + ")" * 100) == Scalar.rational(2)
+
+
+def test_table_size_is_bounded():
+    """The documents of one table file need at most MAX_TABLE_ENTRIES dense
+    structure constants together, checked before any tensor is built."""
+    with pytest.raises(MalformedFile, match="structure constants"):
+        load_table(json.dumps([{"dim": 64}] * 40))  # 481 bytes, 10.5M constants
+    # 556 entries of dim 12, as many as dim 12 has non-Lie block multisets
+    assert 556 * 12**3 <= MAX_TABLE_ENTRIES
+    assert len(load_table(json.dumps([{"dim": 12}] * 556))) == 556
+    out = Path(__file__).parents[1] / "out"
+    tables = sorted(out.glob("nilpotent_dim*.json")) + sorted(
+        out.glob("solvable_dim*.json")
+    )
+    assert len(tables) == 7
+    for path in tables:
+        assert load_table(path.read_text())

@@ -495,3 +495,110 @@ def test_congruence_invariance_fractional_transforms():
             X = congruence_transform(M, tuple(map(tuple, Smat)))
             assert canonical_decomposition(X) == want
             assert is_congruent(X, M)
+
+
+# --- factoring the divisor multiple over Z ------------------------------------
+
+
+def _int_coeffs(expr, t):
+    """Integer coefficients, low to high, of a polynomial with rational ones
+    times the least positive integer that clears its denominators."""
+    _, p = sympy.Poly(expr, t, domain="QQ").clear_denoms()
+    return tuple(int(c) for c in reversed(p.all_coeffs()))
+
+
+def _reference_factors(coeffs):
+    """Factors over Q(i) of an integer polynomial, as _reference_invariants
+    finds them: sympy's factor_list with gaussian=True, made monic."""
+    t = sympy.Symbol("t")
+    expr = sum(c * t**k for k, c in enumerate(coeffs))
+    out = []
+    for g, e in sympy.factor_list(expr, t, gaussian=True)[1]:
+        g = sympy.Poly(g, t, domain="QQ_I").monic()
+        out.append((tuple(_from_sympy(c) for c in reversed(g.all_coeffs())), int(e)))
+    return sorted(out)
+
+
+def _integer_route(coeffs):
+    from leibniz_lab.pencil import _factor_int
+
+    return sorted((tuple(str(c) for c in cs), e) for cs, e in _factor_int(coeffs))
+
+
+def test_integer_factoring_matches_gaussian_reference():
+    t = sympy.Symbol("t")
+    cases = [
+        2 * t + 3,
+        t**2 + 1,
+        4 * t**2 + 4 * t + 5,  # (t + 1/2 - i)(t + 1/2 + i)
+        t**2 - 2,
+        t**2 + 2,  # discriminant -8: irreducible over Q(i)
+        (t**2 + 1) ** 3 * (t - 1) ** 2,
+        t**4 + 1,  # (t^2 - i)(t^2 + i)
+    ]
+    for expr in cases:
+        coeffs = _int_coeffs(expr, t)
+        assert _integer_route(coeffs) == _reference_factors(coeffs), expr
+
+
+def test_integer_factoring_of_gaussian_linear_products():
+    """Seeded products of linear factors t - r, r = p/q + (s/u) i, with
+    their conjugates: what the divisor multiple of a Gaussian pencil holds."""
+    t = sympy.Symbol("t")
+    rng = random.Random(2024)
+    for _ in range(40):
+        expr = sympy.Integer(1)
+        for _ in range(rng.randint(1, 3)):
+            re_ = sympy.Rational(rng.randint(-6, 6), rng.randint(1, 4))
+            im_ = sympy.Rational(rng.randint(-6, 6), rng.randint(1, 4))
+            expr *= ((t - re_) ** 2 + im_**2) ** rng.randint(1, 2)
+        coeffs = _int_coeffs(expr, t)
+        assert _integer_route(coeffs) == _reference_factors(coeffs), expr
+
+
+def test_gaussian_decompositions_factor_once_over_z(monkeypatch):
+    """Each new divisor multiple of a Gaussian input costs at most one
+    sympy.factor_list call, and none over Q(i)."""
+    from leibniz_lab import pencil
+    from leibniz_lab.blocks import normalize_blocks
+    from leibniz_lab.iso import random_invertible_matrix
+
+    for cache in (
+        pencil._invariants_gaussian,
+        pencil._factor_int,
+        pencil.block_invariants,
+        pencil._decompose_cached,
+    ):
+        cache.cache_clear()
+    calls = []
+    factor_list = sympy.factor_list
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("gaussian", False))
+        return factor_list(*args, **kwargs)
+
+    multiples = set()
+    divisor_multiple = pencil._GaussianPencil.divisor_multiple
+
+    def recorded(self, prank):
+        g = divisor_multiple(self, prank)
+        if len(g) > 1:
+            multiples.add(g)
+        return g
+
+    monkeypatch.setattr(sympy, "factor_list", counted)
+    monkeypatch.setattr(pencil._GaussianPencil, "divisor_multiple", recorded)
+    cases = [
+        [B("B", 4, "1/2+i"), B("C", 3), B("A", 1)],
+        [B("B", 2, "2-3*i"), B("E", 2)],
+        [B("B", 2, "i"), B("F", 2), B("A", 1)],
+    ]
+    for seed, blocks in enumerate(cases):
+        n = sum(b.size for b in blocks)
+        Smat = mat_mul(
+            random_invertible_matrix(n, random.Random(seed)), _gaussian_diagonal(n)
+        )
+        M = congruence_transform(direct_sum_matrix(blocks), Smat)
+        assert canonical_decomposition(M) == normalize_blocks(blocks)
+    assert multiples and len(calls) <= len(multiples)
+    assert not any(calls)
