@@ -4,13 +4,19 @@ Two square matrices over an algebraically closed field of characteristic 0
 are congruent exactly when their pencils t*M + u*M^T are strictly
 equivalent, so the pencil's Kronecker data (minimal indices, finite and
 infinite elementary divisors) fingerprints the congruence class.  Everything
-here is computed exactly, by one engine: minimal indices from the ranks of
-expansion matrices, a multiple of the product of the finite elementary
+here is computed exactly, by one engine: minimal indices from the nullities
+of expansion matrices, a multiple of the product of the finite elementary
 divisors from maximal minors, its irreducible factors over the base field,
-and the exponents of each factor p from the ranks of jet matrices at a root
-of p.  That root is the companion matrix C of p: the pencil's value there is
-C (x) M + I (x) M^T, and a rank over the field K[t]/(p) is the rank of the
-expanded matrix over K divided by deg p.
+and the exponents of each factor p from the nullities of jet matrices at a
+root of p.  That root is the companion matrix C of p: the pencil's value
+there is C (x) M + I (x) M^T, and a nullity over the field K[t]/(p) is the
+nullity of the expanded matrix over K divided by deg p.
+
+Expansion and jet matrices grow by one block column per order, so their
+nullities are read off one chain (_nullities), in the manner of Van Dooren's
+staircase: each order ranks the last blocks of the previous left null
+vectors times the slope, stacked on the value, a matrix N columns wide
+whatever the order, instead of the whole block matrix.
 
 The engine runs on two kinds of matrix.  A constant matrix is scaled to a
 Gaussian integer matrix and ranked fraction-free, a rank over K = Q(i) being
@@ -32,7 +38,7 @@ from operator import floordiv, truediv
 
 from .blocks import CanonicalBlock, canonical_block_matrix, normalize_blocks
 from .errors import DictionaryMiss, DimensionMismatch, ParameterNotSupported
-from .linalg import det, mat_mul, rank as mat_rank, rref, transpose
+from .linalg import det, mat_mul, nullspace, rank as mat_rank, rref, transpose
 from .scalars import QI, QI_ONE, SC_ONE, SC_ZERO, Scalar
 
 # Entries kept by each cache in this module: bounds the memory of a
@@ -244,14 +250,15 @@ def _bareiss_det_int(m):
 
 
 def _rank_int(m):
-    """(rank, pivot row indices, pivot column indices) of an integer matrix.
+    """(rank, pivot row indices, pivot column indices) of an integer matrix
+    m, a list of int lists that the call reduces in place: its first rank
+    rows end as the pivot rows, in echelon form, and the others as zero rows.
 
     Fraction-free elimination: a row with a nonzero entry x in the pivot
     column becomes pv*row - x*pivot_row divided by its content, and the
     other rows are left alone.  Rows are only ever scaled by nonzero
     integers, so the pivots are those of elimination over Q.
     """
-    m = [list(row) for row in m]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     order = list(range(nrows))
@@ -278,6 +285,18 @@ def _rank_int(m):
         if len(cols) == nrows:
             break
     return len(cols), order[: len(cols)], cols
+
+
+def _mul_int(A, B):
+    """A*B for integer matrices (lists of int lists), by rows of B."""
+    out = []
+    for row in A:
+        acc = [0] * len(B[0])
+        for a, brow in zip(row, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def _interpolate(values, from_int, div):
@@ -337,19 +356,6 @@ def _gcomb(*terms):
     return re, im
 
 
-def _realify(X):
-    """(integer matrix, w) with every rank over Q(i) = integer rank / w.
-
-    A real X gives Re X and w = 1; otherwise the realification
-    [[Re, -Im], [Im, Re]], the matrix of X acting on Q^2n, and w = 2.
-    """
-    re, im = X
-    if not any(map(any, im)):
-        return re, 1
-    top = [a + [-y for y in b] for a, b in zip(re, im)]
-    return top + [b + a for a, b in zip(re, im)], 2
-
-
 def _block_rows(grid, zero):
     """Rows of the block matrix given by a grid of square blocks (None: zero)."""
     n = next(len(b) for brow in grid for b in brow if b is not None)
@@ -371,7 +377,8 @@ class _GaussianPencil:
     """t*M + M^T for a Gaussian integer matrix M, over Q(i).
 
     Elements are Gaussian integers (re, im) and matrices pairs (re rows, im
-    rows); ranks are fraction-free integer ranks of the realification.
+    rows).  Chains run on the realified matrices, with fraction-free integer
+    ranks over Q.
     """
 
     zero = (0, 0)
@@ -380,10 +387,8 @@ class _GaussianPencil:
         self.M = tuple([list(row) for row in part] for part in M)
         self.Mt = tuple([list(col) for col in zip(*part)] for part in M)
         self.n = len(self.M[0])
-
-    @staticmethod
-    def from_int(k):
-        return (k, 0)
+        (self.P, self.Pt), self.w = self.realify(self.M, self.Mt)
+        self._ranks = {}  # (k, rev) -> _rank_int of the realified k*M + M^T
 
     def comb(self, a, b):
         """a*M + b*M^T."""
@@ -396,9 +401,57 @@ class _GaussianPencil:
             for k in (0, 1)
         )
 
-    def grid_rank(self, grid):
-        m, w = _realify(self.flatten(grid))
-        return _rank_int(m)[0] // w
+    @staticmethod
+    def realify(*mats):
+        """mats as integer matrices, and w: a rank over Q(i) of any block
+        matrix made of them is its rank over Q divided by w.  If all are
+        real, w = 1 and X becomes Re X; otherwise w = 2 and X becomes its
+        realification [[Re, -Im], [Im, Re]], the matrix of X on Q^2n."""
+        if not any(any(map(any, im)) for _, im in mats):
+            return [[list(row) for row in re] for re, _ in mats], 1
+        return [
+            [[*a, *(-y for y in b)] for a, b in zip(re, im)] + [[*b, *a] for a, b in zip(re, im)]
+            for re, im in mats
+        ], 2
+
+    mul = staticmethod(_mul_int)
+
+    @staticmethod
+    def step(top, value):
+        """(left nullity of X = [top; value], null): one order of a chain.
+
+        null() gives the next K and the number of left null vectors of X
+        dropped because their value-row part is zero.  It eliminates
+        [X | T], T holding an identity beside the value rows and zeros
+        beside top: the rows left zero on X are a basis of the left null
+        space, with their value-row parts in T, and eliminating on through
+        T leaves those parts independent, above the zero ones.
+        """
+        nullity = len(top) + len(value) - _rank_int([*map(list, top), *map(list, value)])[0]
+
+        def null():
+            N = len(value)
+            m = [[*row, *[0] * N] for row in top]
+            m += [[*row, *(int(i == j) for j in range(N))] for i, row in enumerate(value)]
+            total, _, cols = _rank_int(m)
+            return [row[N:] for row, c in zip(m, cols) if c >= N], len(m) - total
+
+        return nullity, null
+
+    def _ranked(self, k, rev=False):
+        """_rank_int of the realified k*M + M^T, its rows reversed if rev.
+        Results are kept, so divisor_multiple searches the matrices the rank
+        loop of _kronecker has ranked without ranking them again."""
+        if (k, rev) not in self._ranks:
+            cand = [[k * x + y for x, y in zip(a, b)] for a, b in zip(self.P, self.Pt)]
+            if rev:
+                cand.reverse()
+            self._ranks[k, rev] = _rank_int(cand)
+        return self._ranks[k, rev]
+
+    def rank_at(self, k):
+        """Rank of k*M + M^T over Q(i)."""
+        return self._ranked(k)[0] // self.w
 
     @staticmethod
     def scaled(coeffs):
@@ -412,17 +465,14 @@ class _GaussianPencil:
         """The gcd of up to two maximal minors of the realified pencil, which
         is equivalent over C to the pencil plus its conjugate, so its divisor
         product is a multiple of the pencil's."""
-        (P, w), (Pt, _) = _realify(self.M), _realify(self.Mt)
-        N, r = len(P), w * prank
+        P, Pt = self.P, self.Pt
+        N, r = len(P), self.w * prank
         want = 1 if r == N else 2  # a regular pencil has one maximal minor
         keys = []
         g = None
         for k in range(2 * (N + 1)):
             kk, rev = divmod(k, 2)
-            cand = [[kk * x + y for x, y in zip(a, b)] for a, b in zip(P, Pt)]
-            if rev:
-                cand.reverse()
-            rank, rows, cols = _rank_int(cand)
+            rank, rows, cols = self._ranked(kk, rev)
             if rank != r:
                 continue
             key = (tuple(sorted(N - 1 - i if rev else i for i in rows)), tuple(cols))
@@ -447,12 +497,12 @@ class _ScalarPencil:
     """t*M + M^T for a Scalar matrix M, over Q(i)(params): generic ranks."""
 
     zero = SC_ZERO
-    from_int = staticmethod(Scalar.rational)
 
     def __init__(self, M):
         self.M = tuple(tuple(row) for row in M)
         self.Mt = transpose(self.M)
         self.n = len(M)
+        self._ranks = {}  # k -> rref of k*M + M^T
 
     def comb(self, a, b):
         """a*M + b*M^T."""
@@ -464,8 +514,40 @@ class _ScalarPencil:
     def flatten(grid):
         return _block_rows(grid, SC_ZERO)
 
-    def grid_rank(self, grid):
-        return mat_rank(self.flatten(grid))
+    @staticmethod
+    def realify(*mats):
+        """The matrices themselves: ranks are taken over Q(i)(params)."""
+        return list(mats), 1
+
+    mul = staticmethod(mat_mul)
+
+    @staticmethod
+    def step(top, value):
+        """(left nullity of X = [top; value], null), as for _GaussianPencil.
+
+        The null vectors of X^T come from rref with the top coordinates
+        first, so each has a zero value-row part or a pivot-free one, and
+        the nonzero parts are independent.
+        """
+        X = (*top, *value)
+        nullity = len(X) - mat_rank(X)
+
+        def null():
+            basis = nullspace(transpose(X))
+            K = [v[len(top) :] for v in basis if any(v[len(top) :])]
+            return K, len(basis) - len(K)
+
+        return nullity, null
+
+    def _ranked(self, k):
+        """rref of k*M + M^T, kept for divisor_multiple."""
+        if k not in self._ranks:
+            self._ranks[k] = rref(self.comb(Scalar.rational(k), SC_ONE))
+        return self._ranks[k]
+
+    def rank_at(self, k):
+        """Rank of k*M + M^T over Q(i)(params)."""
+        return len(self._ranked(k)[1])
 
     @staticmethod
     def scaled(coeffs):
@@ -475,11 +557,9 @@ class _ScalarPencil:
     def divisor_multiple(self, prank):
         """One maximal minor, interpolated at t = 0..prank: a multiple of the
         product of the finite divisors."""
-        for k in range(self.n + 1):
-            at = self.comb(Scalar.rational(k), SC_ONE)
-            _, cols = rref(at)
-            if len(cols) == prank:
-                break
+        k = next(k for k in range(self.n + 1) if self.rank_at(k) == prank)
+        cols = self._ranked(k)[1]
+        at = self.comb(Scalar.rational(k), SC_ONE)
         _, rows = rref(transpose([[row[j] for j in cols] for row in at]))
         values = []
         for p in range(prank + 1):
@@ -566,16 +646,15 @@ def _kronecker(pen) -> PencilInvariants:
     up to the regular size left; then the higher-degree factors, only while
     regular size is left.
     """
-    n, M, Mt = pen.n, pen.M, pen.Mt
-    rank_m = pen.grid_rank([[M]])
-    prank = 0
-    for k in range(n + 1):
-        prank = max(prank, pen.grid_rank([[pen.comb(pen.from_int(k), pen.from_int(1))]]))
+    n = pen.n
+    rank_m = prank = pen.rank_at(0)  # 0*M + M^T has the rank of M
+    for k in range(1, n + 1):
         if prank == n:
             break
+        prank = max(prank, pen.rank_at(k))
     s = n - prank
-    right = _minimal_indices(M, Mt, s, n, pen.grid_rank)
-    left = _minimal_indices(Mt, M, s, n, pen.grid_rank)
+    right = _minimal_indices(pen, pen.M, pen.Mt, s)
+    left = _minimal_indices(pen, pen.Mt, pen.M, s)
     regular = n - sum(right) - sum(left) - s
     multiple = pen.divisor_multiple(prank) if prank else ()
     factors = pen.factor(multiple) if len(multiple) > 1 else ()
@@ -583,9 +662,7 @@ def _kronecker(pen) -> PencilInvariants:
 
     def visit(p, bound):
         d = len(p) - 1
-        exps = _jet_exponents(
-            *_point(pen, p), s, n, bound, lambda grid: pen.grid_rank(grid) // d
-        )
+        exps = _jet_exponents(pen, *_point(pen, p), d, s, bound)
         finite.extend((_divisor_key(p), e) for e in exps)
         return d * sum(exps)
 
@@ -593,7 +670,7 @@ def _kronecker(pen) -> PencilInvariants:
         if len(p) == 2:
             regular -= visit(p, mult)
     # infinite divisors: reversed pencil at 0 (value M, derivative M^T)
-    infinite = _jet_exponents(M, Mt, s, n, regular, pen.grid_rank)
+    infinite = _jet_exponents(pen, pen.M, pen.Mt, 1, s, regular)
     regular -= sum(infinite)
     for p, mult in factors:
         d = len(p) - 1
@@ -626,55 +703,72 @@ def _point(pen, p):
     return pen.flatten(value), pen.flatten(slope)
 
 
-def _expansion_grid(M, Mt, d):
-    """Blocks of the matrix whose null space holds the degree-d polynomial
-    null vectors of t*M + M^T."""
-    return [
-        [Mt if bc == j else M if bc == j - 1 else None for bc in range(d + 1)]
-        for j in range(d + 2)
-    ]
+def _nullities(pen, value, slope, top):
+    """Left nullities, one order per next(), of the chain X_1, X_2, ...
+    in which X_1 = [top; value] and X_(j+1) is X_j with one more block
+    column: slope in the last block row of X_j, value in a new block row.
+
+    Let Z be a basis of the left null space of X_j and K the last blocks of
+    its rows.  Then (a, w) -> (a Z, w) maps the left null space of
+    [K slope; value] onto that of X_(j+1), so its nullity is
+    rows(Z) + N - rank [K slope; value] for N x N blocks, and the value-row
+    parts w of those null vectors are the K of the next order.  Whatever the
+    order, a step ranks a matrix N columns wide, and 2N wide to find the
+    next K.  A null vector whose last block is zero stays one at every later
+    order: it leaves K and is counted in kept.  K is only computed when the
+    next order is asked for.
+    """
+    kept = 0
+    while True:
+        nullity, null = pen.step(top, value)
+        yield kept + nullity
+        K, dropped = null()
+        kept += dropped
+        top = pen.mul(K, slope) if K else []
 
 
-def _minimal_indices(M, Mt, count, n, grid_rank):
+def _minimal_indices(pen, M, Mt, count):
     """Right minimal indices of t*M + M^T (pass swapped for left ones).
 
-    grid_rank(grid) is the rank of the block matrix of a grid of blocks.
+    The polynomial null vectors of degree <= d are the null space of the
+    expansion matrix with d + 1 block columns, column c holding M^T in
+    block row c and M in block row c + 1.  Its left nullity nu_d is that of
+    the chain with value M and slope M^T started from K = I, i.e. from
+    top = M^T, and its right nullity is s_d = nu_d - n.
     """
     if count == 0:
         return ()
+    n = pen.n
+    (value, slope), w = pen.realify(M, Mt)
+    nullities = _nullities(pen, value, slope, slope)
     indices = []
     s_prev_prev = 0
     s_prev = 0
-    d = 0
-    while len(indices) < count:
-        if d > n:
-            raise AssertionError("minimal index search exceeded the pencil size")
-        s_d = n * (d + 1) - grid_rank(_expansion_grid(M, Mt, d))
-        new = (s_d - s_prev) - (s_prev - s_prev_prev)
-        indices.extend([d] * new)
+    for d in range(n + 1):
+        s_d = next(nullities) // w - n
+        indices.extend([d] * ((s_d - s_prev) - (s_prev - s_prev_prev)))
+        if len(indices) >= count:
+            return tuple(indices)
         s_prev_prev, s_prev = s_prev, s_d
-        d += 1
-    return tuple(indices)
+    raise AssertionError("minimal index search exceeded the pencil size")
 
 
-def _jet_exponents(value, slope, s, n, bound, grid_rank):
+def _jet_exponents(pen, value, slope, fold, s, bound):
     """Divisor exponents at one point from the nullities of its jet matrices.
 
     The jet matrix of order j is block upper bidiagonal, with the pencil's
-    value at the point on the diagonal and its derivative (slope) above it;
-    grid_rank(grid) is its rank over the field of the point.  The chain
-    stops when the exponents reach bound, an upper bound for their sum; s
-    is the number of right minimal indices.
+    value at the point on the diagonal and its derivative (slope) above it:
+    the chain started from an empty K.  Its nullity over the field of the
+    point is its nullity over the base field divided by fold, the degree of
+    the point.  The chain stops when the exponents reach bound, an upper
+    bound for their sum; s is the number of right minimal indices.
     """
+    (value, slope), w = pen.realify(value, slope)
+    nullities = _nullities(pen, value, slope, [])
     at_least = []  # at_least[j - 1]: number of exponents >= j
     prev = 0
     while sum(at_least) < bound:
-        j = len(at_least) + 1
-        grid = [
-            [value if c == r else slope if c == r + 1 else None for c in range(j)]
-            for r in range(j)
-        ]
-        nul = j * n - grid_rank(grid)
+        nul = next(nullities) // (w * fold)
         count = (nul - prev) - s
         if count <= 0:
             break

@@ -602,3 +602,175 @@ def test_gaussian_decompositions_factor_once_over_z(monkeypatch):
         assert canonical_decomposition(M) == normalize_blocks(blocks)
     assert multiples and len(calls) <= len(multiples)
     assert not any(calls)
+
+
+# --- staircase chains against the full block matrices ------------------------
+
+
+def _grid_matrix(grid, n):
+    """The Scalar block matrix of a grid of n x n blocks (None: zero)."""
+    rows = []
+    for brow in grid:
+        for i in range(n):
+            rows.append(
+                [x for blk in brow for x in ([SC_ZERO] * n if blk is None else blk[i])]
+            )
+    return rows
+
+
+def _kron(A, B):
+    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
+
+
+def _expansion_nullity(M, d):
+    """n(d+1) - rank of the matrix whose null space holds the degree-d
+    polynomial null vectors of t*M + M^T."""
+    from leibniz_lab.linalg import rank
+
+    n, Mt = len(M), transpose(M)
+    grid = [
+        [Mt if c == r else M if c == r - 1 else None for c in range(d + 1)]
+        for r in range(d + 2)
+    ]
+    return n * (d + 1) - rank(_grid_matrix(grid, n))
+
+
+def _jet_nullity(M, p, j):
+    """Nullity over Q(i)[t]/(p) of the order-j jet matrix of t*M + M^T at a
+    root of the monic irreducible p (p = None: at infinity), from the full
+    matrix over Q(i): value C (x) M + I (x) M^T and slope I (x) M, C the
+    companion matrix of p."""
+    from leibniz_lab.linalg import identity, rank
+
+    if p is None:
+        value, slope, d = M, transpose(M), 1
+    else:
+        d = len(p) - 1
+        C = [
+            [-p[k] if l == d - 1 else SC_ONE if k == l + 1 else SC_ZERO for l in range(d)]
+            for k in range(d)
+        ]
+        Id = identity(d)
+        value = [
+            [x + y for x, y in zip(r, s)]
+            for r, s in zip(_kron(C, M), _kron(Id, transpose(M)))
+        ]
+        slope = _kron(Id, M)
+    m = len(value)
+    grid = [
+        [value if c == r else slope if c == r + 1 else None for c in range(j)]
+        for r in range(j)
+    ]
+    return (j * m - rank(_grid_matrix(grid, m))) // d
+
+
+def _chain_nullities(pen, value, slope, start, fold, orders):
+    """The first nullities of a chain, over the field of its point."""
+    from leibniz_lab.pencil import _nullities
+
+    (value, slope), w = pen.realify(value, slope)
+    chain = _nullities(pen, value, slope, slope if start else [])
+    return [next(chain) // (w * fold) for _ in range(orders)]
+
+
+def _check_chains(pens, M, orders=3):
+    """The chains of every pencil kind in pens against one reference."""
+    from leibniz_lab.pencil import _point
+
+    n, Mt = len(M), transpose(M)
+    want = {}
+    for pen in pens:
+        for key, (value, slope, Mx) in enumerate(((pen.M, pen.Mt, M), (pen.Mt, pen.M, Mt))):
+            if key not in want:
+                want[key] = [n + _expansion_nullity(Mx, d) for d in range(orders + 1)]
+            # the chain's left nullity is n more than the expansion's right one
+            assert _chain_nullities(pen, value, slope, True, 1, orders + 1) == want[key]
+        if None not in want:
+            want[None] = [_jet_nullity(M, None, j) for j in range(1, orders + 1)]
+        assert _chain_nullities(pen, pen.M, pen.Mt, False, 1, orders) == want[None]
+        prank = max(pen.rank_at(k) for k in range(n + 1))
+        multiple = pen.divisor_multiple(prank) if prank else ()
+        for p, _ in pen.factor(multiple) if len(multiple) > 1 else ():
+            d = len(p) - 1
+            # the reference ranks j*d*n columns over Q(i): keep them few
+            jets = max(1, min(orders, 24 // (d * n)))
+            if p not in want:
+                want[p] = [_jet_nullity(M, p, j) for j in range(1, jets + 1)]
+            got = _chain_nullities(pen, *_point(pen, p), False, d, jets)
+            assert got == want[p], p
+
+
+def _seeded_constant_matrices():
+    rng = random.Random(10)
+    entries = {
+        "integer": ["0", "0", "1", "-1", "2"],
+        "rational": ["0", "0", "1/2", "-1", "3/2"],
+        "gaussian": ["0", "0", "1", "i", "1-i", "1/2+i"],
+    }
+    out = []
+    for k in range(24):
+        values = entries[("integer", "rational", "gaussian")[k % 3]]
+        n = 1 + k % 4
+        M = [[S(rng.choice(values)) for _ in range(n)] for _ in range(n)]
+        if k % 2:  # a zero last row and column: a singular pencil
+            M[-1] = [SC_ZERO] * n
+            for row in M:
+                row[-1] = SC_ZERO
+        out.append(tuple(map(tuple, M)))
+    for blocks in (
+        [B("A", 3), B("C", 1)],
+        [B("A", 5), B("A", 1)],
+        [B("A", 3), B("B", 2, "1/2+i")],
+        [B("E", 4), B("A", 1)],
+        [B("C", 3), B("A", 3)],
+        [B("B", 2, "1/2+i"), B("A", 3), B("C", 1)],
+    ):
+        M0 = direct_sum_matrix(blocks)
+        Smat = _rand_unimodular(rng, len(M0))
+        out.append(congruence_transform(M0, mat_mul(Smat, _gaussian_diagonal(len(M0)))))
+    out.extend(congruence_transform(M0, _rand_unimodular(rng, len(M0))) for M0 in NON_SPLIT)
+    return out
+
+
+def test_chain_nullities_match_full_ranks():
+    """Every order of the expansion and jet chains has the nullity of the
+    full block matrix it stands for, on both pencil kinds: constant
+    matrices of size 1-6 (Gaussian entries and divisors that do not split
+    over Q(i) among them) and the parametric B2(c) and A3 + B2(c)."""
+    from leibniz_lab.pencil import _GaussianPencil, _ScalarPencil, _gaussian_int_matrix
+
+    mats = _seeded_constant_matrices()
+    assert any(any(x.as_qi().im for row in M for x in row) for M in mats)
+    assert any(len(cs) > 2 for M in mats for cs, _ in pencil_invariants(M).finite_divisors)
+    assert any(pencil_invariants(M).left_indices for M in mats)
+    for M in mats:
+        _check_chains([_GaussianPencil(_gaussian_int_matrix(M)), _ScalarPencil(M)], M)
+    c = Scalar.param("c")
+    for blocks in ([CanonicalBlock("B", 2, c)], [B("A", 3), CanonicalBlock("B", 2, c)]):
+        M = direct_sum_matrix(blocks)
+        _check_chains([_ScalarPencil(M)], M)
+
+
+def test_ranked_matrices_stay_two_blocks_wide(monkeypatch):
+    """No rank in a decomposition is taken of a matrix wider than two
+    N x N blocks, N the realified size: each order of a chain adds one
+    small step, not a wider block matrix."""
+    from leibniz_lab import pencil
+    from leibniz_lab.blocks import normalize_blocks
+
+    widths = []
+    rank_int = pencil._rank_int
+
+    def recorded(m):
+        widths.append(len(m[0]) if m else 0)
+        return rank_int(m)
+
+    monkeypatch.setattr(pencil, "_rank_int", recorded)
+    for blocks in ([B("B", 6, "2"), B("A", 5)], [B("C", 5), B("A", 3)]):
+        for cache in (pencil._invariants_gaussian, pencil.block_invariants, pencil._decompose_cached):
+            cache.cache_clear()
+        widths.clear()
+        M0 = direct_sum_matrix(blocks)
+        M = congruence_transform(M0, _rand_unimodular(random.Random(3), len(M0)))
+        assert canonical_decomposition(M) == normalize_blocks(blocks)
+        assert widths and max(widths) <= 2 * len(M), blocks  # real: N = n
