@@ -217,11 +217,38 @@ def dim3_solvable_table():
 # Entry verification
 # ---------------------------------------------------------------------------
 def verify_nilpotent_entry(entry: ClassificationEntry):
-    """Check all invariants of a nilpotent table entry; returns failures."""
+    """Check all invariants of a nilpotent table entry; returns failures.
+
+    The Leibniz identity is always checked.  When the form precondition
+    holds (see form_from_algebra), A is nilpotent with lower central series
+    A > A^2 > 0 and dim A^2 = 1; Leib(A) lies in the line A^2, so it equals
+    A^2 unless A is Lie, which happens exactly when the form is skew; and
+    the bracket on A/Leib(A) is skew.  Left to compute are the skewness of
+    the form, the split test and the scan of the last basis vector, which
+    need not span A^2.  Otherwise every structural invariant is computed
+    and each failing one is named.
+    """
     A = entry.algebra
     fails = []
     if not verify_leibniz(A):
         fails.append("leibniz identity fails")
+    try:
+        form, _ = form_from_algebra(A)
+    except PreconditionFailed as exc:
+        return fails + _structural_failures(A, str(exc))
+    if is_skew_matrix(form):
+        fails += ["algebra is Lie", "Leib(A) differs from A^2"]
+    if has_zero_summand(form):
+        fails.append("form has a zero summand (split algebra)")
+    if not _last_vector_annihilates(A):
+        fails.append("x_n does not annihilate the algebra")
+    return fails
+
+
+def _structural_failures(A: StructureConstants, precondition: str):
+    """The failures of an algebra outside the form precondition, in the
+    order verify_nilpotent_entry reports them."""
+    fails = []
     leib = leib_ideal(A)
     if leib.is_zero():
         fails.append("algebra is Lie")
@@ -233,24 +260,22 @@ def verify_nilpotent_entry(entry: ClassificationEntry):
         fails.append(f"dim A^2 = {derived.dim}")
     if leib != derived:
         fails.append("Leib(A) differs from A^2")
-    try:
-        form, _ = form_from_algebra(A)
-    except PreconditionFailed as exc:
-        fails.append(str(exc))
-    else:
-        if has_zero_summand(form):
-            fails.append("form has a zero summand (split algebra)")
-    # the spanning vector of A^2 annihilates on both sides
-    n = A.dim
-    for i in range(n):
-        if any(A.tensor[i][n - 1]) or any(A.tensor[n - 1][i]):
-            fails.append("x_n does not annihilate the algebra")
-            break
+    fails.append(precondition)
+    if not _last_vector_annihilates(A):
+        fails.append("x_n does not annihilate the algebra")
     if not (len(chain) == 3 and chain[1].dim == 1 and chain[2].is_zero()):
         fails.append("lower central series is not A > A^2 > 0")
     if not quotient_bracket_is_skew(A):
         fails.append("bracket on A/Leib(A) is not skew")
     return fails
+
+
+def _last_vector_annihilates(A: StructureConstants) -> bool:
+    """[x_n, A] = [A, x_n] = 0 for the last basis vector x_n."""
+    n = A.dim
+    return not any(
+        any(A.tensor[i][n - 1]) or any(A.tensor[n - 1][i]) for i in range(n)
+    )
 
 
 def verify_solvable_entry(entry: ClassificationEntry, derived_dim):
@@ -264,8 +289,9 @@ def verify_solvable_entry(entry: ClassificationEntry, derived_dim):
         fails.append("algebra is nilpotent")
     if not is_solvable(A):
         fails.append("algebra is not solvable")
-    if derived_subalgebra(A).dim != derived_dim:
-        fails.append(f"dim A^2 = {derived_subalgebra(A).dim}, want {derived_dim}")
+    dim_derived = derived_subalgebra(A).dim
+    if dim_derived != derived_dim:
+        fails.append(f"dim A^2 = {dim_derived}, want {derived_dim}")
     return fails
 
 

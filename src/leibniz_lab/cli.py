@@ -152,6 +152,8 @@ def cmd_check_iso(args):
 
 
 def cmd_fuzz(args):
+    if args.trials < 1:
+        raise _Usage("--trials must be at least 1")
     doc = load_algebra(_read(args.algebra_file))
     seed = args.seed
     if seed is None:

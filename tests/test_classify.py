@@ -13,6 +13,7 @@ from leibniz_lab.algebra import (
     is_solvable,
     leib_ideal,
     lower_central_series,
+    quotient_bracket_is_skew,
     substitute_algebra,
     verify_leibniz,
 )
@@ -30,6 +31,8 @@ from leibniz_lab.classify import (
     verify_nilpotent_entry,
     verify_solvable_entry,
 )
+from leibniz_lab.blocks import form_from_algebra, has_zero_summand
+from leibniz_lab.errors import PreconditionFailed
 from leibniz_lab.scalars import Scalar
 
 
@@ -248,6 +251,143 @@ def test_verify_reports_an_ineligible_entry():
     # a solvable, non-nilpotent algebra: the failures are listed, not raised
     fails = verify_nilpotent_entry(solvable_dim1_table()[0])
     assert "algebra is not nilpotent" in fails
+
+
+def _all_nilpotent_entries():
+    return [e for n in sorted(NILPOTENT_COUNTS) for e in nilpotent_table(n)]
+
+
+def test_verify_takes_derivable_facts_from_the_form_precondition(monkeypatch):
+    """On a table entry nothing that the form precondition implies is
+    recomputed: A^2 comes from form_from_algebra alone."""
+    import leibniz_lab.blocks as blocks_module
+    import leibniz_lab.classify as classify_module
+
+    entries = _all_nilpotent_entries()
+
+    def implied(*args):
+        raise AssertionError("implied by the form precondition")
+
+    for name in (
+        "lower_central_series",
+        "leib_ideal",
+        "quotient_bracket_is_skew",
+        "derived_subalgebra",
+    ):
+        monkeypatch.setattr(classify_module, name, implied)
+    calls = []
+
+    def counted(A, inner=blocks_module.derived_subalgebra):
+        calls.append(A.label)
+        return inner(A)
+
+    monkeypatch.setattr(blocks_module, "derived_subalgebra", counted)
+    for entry in entries:
+        assert verify_nilpotent_entry(entry) == []
+    assert calls == [entry.label for entry in entries]
+
+
+def _reference_failures(entry):
+    """The nine checks, each computed on its own, as verify_nilpotent_entry
+    made them before it took the implied ones from the form precondition."""
+    A = entry.algebra
+    fails = []
+    if not verify_leibniz(A):
+        fails.append("leibniz identity fails")
+    leib = leib_ideal(A)
+    if leib.is_zero():
+        fails.append("algebra is Lie")
+    chain = lower_central_series(A)
+    if not chain[-1].is_zero():
+        fails.append("algebra is not nilpotent")
+    derived = derived_subalgebra(A)
+    if derived.dim != 1:
+        fails.append(f"dim A^2 = {derived.dim}")
+    if leib != derived:
+        fails.append("Leib(A) differs from A^2")
+    try:
+        form, _ = form_from_algebra(A)
+    except PreconditionFailed as exc:
+        fails.append(str(exc))
+    else:
+        if has_zero_summand(form):
+            fails.append("form has a zero summand (split algebra)")
+    n = A.dim
+    for i in range(n):
+        if any(A.tensor[i][n - 1]) or any(A.tensor[n - 1][i]):
+            fails.append("x_n does not annihilate the algebra")
+            break
+    if not (len(chain) == 3 and chain[1].dim == 1 and chain[2].is_zero()):
+        fails.append("lower central series is not A > A^2 > 0")
+    if not quotient_bracket_is_skew(A):
+        fails.append("bracket on A/Leib(A) is not skew")
+    return fails
+
+
+def _with_products(entry, prods):
+    A = entry.algebra
+    B = StructureConstants.from_products(
+        A.dim, prods, constraints=A.constraints, label=A.label
+    )
+    return replace(entry, algebra=B)
+
+
+def _seeded_variants(entry, rng):
+    """The entry, and four seeded changes of it: an extra product term
+    (half of them on x_n, which can keep the form precondition), a dropped
+    product, the antisymmetrized (Lie) bracket, and x_n swapped with
+    another basis vector, so that A^2 is no longer spanned by x_n."""
+    n = entry.algebra.dim
+    prods = entry.algebra.products()
+    yield entry
+
+    extra = {key: list(terms) for key, terms in prods.items()}
+    i, j = rng.randint(1, n), rng.randint(1, n)
+    k = n if rng.random() < 0.5 else rng.randint(1, n)
+    coeff = Scalar.rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    extra[(i, j)] = extra.get((i, j), []) + [(k, coeff)]
+    yield _with_products(entry, extra)
+
+    dropped = dict(prods)
+    del dropped[rng.choice(sorted(dropped))]
+    yield _with_products(entry, dropped)
+
+    lie = {}
+    for (i, j), terms in prods.items():
+        lie.setdefault((i, j), []).extend(terms)
+        lie.setdefault((j, i), []).extend((k, -c) for k, c in terms)
+    yield _with_products(entry, lie)
+
+    other = rng.randint(1, n - 1)
+    swap = {other: n, n: other}
+    swapped = {
+        (swap.get(i, i), swap.get(j, j)): [(swap.get(k, k), c) for k, c in terms]
+        for (i, j), terms in prods.items()
+    }
+    yield _with_products(entry, swapped)
+
+
+def test_verify_agrees_with_the_nine_separate_checks():
+    rng = random.Random(11)
+    cases = [solvable_dim1_table()[0]]
+    for entry in _all_nilpotent_entries():
+        cases.extend(_seeded_variants(entry, rng))
+    assert len(cases) >= 400
+    seen = set()
+    for case in cases:
+        fails = verify_nilpotent_entry(case)
+        assert fails == _reference_failures(case), case.label
+        seen.update(fails)
+    # both paths of verify_nilpotent_entry report each of these somewhere
+    assert {
+        "leibniz identity fails",
+        "algebra is Lie",
+        "algebra is not nilpotent",
+        "Leib(A) differs from A^2",
+        "form has a zero summand (split algebra)",
+        "x_n does not annihilate the algebra",
+        "lower central series is not A > A^2 > 0",
+    } <= seen
 
 
 def test_distinctness_dims_4_to_6():

@@ -148,6 +148,16 @@ def test_fuzz_deterministic(tmp_path, capsys, monkeypatch):
     assert code3 == 0 and out3 == out1
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_fuzz_refuses_fewer_than_one_trial(tmp_path, capsys, trials):
+    path = tmp_path / "a.json"
+    path.write_text(store_algebra(nilpotent_table(4)[1].algebra))
+    code, out, err = run_cli(["fuzz", str(path), "--trials", trials], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--trials" in err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])
