@@ -1,12 +1,18 @@
 """The six canonical bilinear-form block families and the form/algebra maps.
 
-Kinds and admissible sizes (size = matrix dimension):
-    A: odd sizes 1, 3, 5, ...      (A_1 is the 1x1 zero block)
-    B: even sizes, parameter c with c not in {1, -1}
-    C: odd sizes
-    D: even sizes with size/2 even (4, 8, ...)
-    E: even sizes
-    F: even sizes with size/2 odd (2, 6, ...)
+The catalogue (size = matrix dimension), with the Kronecker invariants of
+the pencil t*M + M^T of each block, from which pencil reads a decomposition:
+    A: odd sizes 2k + 1, the minimal indices k, k (A_1 is the 1x1 zero block)
+    B: even sizes 2e, parameter c: divisors (t + c)^e and (t + 1/c)^e, with
+       the infinite divisor of exponent e in place of (t + 1/c)^e if c = 0
+    C: odd sizes e: the divisor (t + 1)^e
+    D: sizes 2e with e even: the divisor (t + 1)^e twice
+    E: even sizes e: the divisor (t - 1)^e
+    F: sizes 2e with e odd: the divisor (t - 1)^e twice
+kinds_for_size states which kinds exist at each size.  The B parameter may
+not be 1 or -1 (B_PARAM_EXCLUDED): the roots -1 and 1 are the only ones
+equal to their own reciprocal, so their divisors do not come in the
+reciprocal pairs of a B block, and C, D, E and F cover them.
 
 A nilpotent algebra with one-dimensional derived subalgebra corresponds to
 its form matrix N via [x_i, x_j] = N[i][j] x_n with x_n annihilating.
@@ -21,8 +27,7 @@ from .algebra import StructureConstants, bracket, derived_subalgebra
 from .errors import InvalidBlock, PreconditionFailed
 from .linalg import block_diag, identity, rank, transpose
 from .scalars import (
-    QI,
-    QI_ONE,
+    B_PARAM_EXCLUDED,
     SC_ONE,
     SC_ZERO,
     Scalar,
@@ -30,7 +35,21 @@ from .scalars import (
     parse_scalar,
 )
 
-_NEG_ONE = QI(-1)
+
+def kinds_for_size(size: int):
+    """Block kinds that exist at one size, in table reading order."""
+    if size % 2 == 1:
+        return ("A", "C")
+    if size == 2:
+        return ("F", "E", "B")
+    k = size // 2
+    kinds = ["B"]
+    if k % 2 == 0:
+        kinds.append("D")
+    kinds.append("E")
+    if k % 2 == 1:
+        kinds.append("F")
+    return tuple(kinds)
 
 
 @dataclass(frozen=True)
@@ -41,26 +60,14 @@ class CanonicalBlock:
 
     def __post_init__(self):
         kind, size = self.kind, self.size
-        if kind not in "ABCDEF":
-            raise InvalidBlock(f"unknown block kind {kind!r}")
         if size < 1:
             raise InvalidBlock("block size must be positive")
-        odd = size % 2 == 1
-        if kind in "AC" and not odd:
-            raise InvalidBlock(f"{kind}-blocks have odd size, got {size}")
-        if kind in "BDEF" and odd:
-            raise InvalidBlock(f"{kind}-blocks have even size, got {size}")
-        if kind == "D" and (size // 2) % 2 != 0:
-            raise InvalidBlock(f"D-blocks need size/2 even, got {size}")
-        if kind == "F" and (size // 2) % 2 != 1:
-            raise InvalidBlock(f"F-blocks need size/2 odd, got {size}")
+        if kind not in kinds_for_size(size):
+            raise InvalidBlock(f"no {kind!r}-block of size {size}")
         if kind == "B":
             if self.parameter is None:
                 raise InvalidBlock("B-blocks carry a parameter")
-            if self.parameter.is_constant() and self.parameter.as_qi() in (
-                QI_ONE,
-                _NEG_ONE,
-            ):
+            if self.parameter.is_constant() and self.parameter.as_qi() in B_PARAM_EXCLUDED:
                 raise InvalidBlock("B-block parameter may not be 1 or -1")
         elif self.parameter is not None:
             raise InvalidBlock(f"{kind}-blocks carry no parameter")

@@ -23,11 +23,16 @@ from .algebra import (
     right_center,
     verify_leibniz,
 )
-from .blocks import CanonicalBlock, canonical_block_matrix, form_from_algebra
+from .blocks import (
+    CanonicalBlock,
+    canonical_block_matrix,
+    form_from_algebra,
+    kinds_for_size,
+)
 from .errors import PreconditionFailed
 from .linalg import Subspace, identity, mat_mul
 from .pencil import PencilInvariants, congruence_transform, pencil_invariants
-from .scalars import QI, SC_ONE, SC_ZERO, Scalar, qi_sqrt
+from .scalars import B_PARAM_EXCLUDED, SC_ONE, SC_ZERO, Scalar, qi_sqrt
 
 
 @dataclass(frozen=True)
@@ -164,20 +169,13 @@ def _identify_segment(M, start, size):
     sub = tuple(
         tuple(M[start + i][start + j] for j in range(size)) for i in range(size)
     )
-    candidates = []
-    if size % 2 == 1:
-        candidates = [CanonicalBlock("A", size), CanonicalBlock("C", size)]
-    else:
-        k = size // 2
-        candidates = [CanonicalBlock("E", size)]
-        if k % 2 == 0:
-            candidates.append(CanonicalBlock("D", size))
-        else:
-            candidates.append(CanonicalBlock("F", size))
-        c = sub[size - 1][0]
-        if c.is_constant() and c.as_qi() not in (QI(1), QI(-1)):
-            candidates.append(CanonicalBlock("B", size, c))
-    for b in candidates:
+    for kind in kinds_for_size(size):
+        c = None
+        if kind == "B":  # B_size(c) holds c in its bottom-left corner
+            c = sub[size - 1][0]
+            if not c.is_constant() or c.as_qi() in B_PARAM_EXCLUDED:
+                continue
+        b = CanonicalBlock(kind, size, c)
         if canonical_block_matrix(b) == sub:
             return b
     return None

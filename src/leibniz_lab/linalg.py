@@ -1,8 +1,9 @@
-"""Exact linear algebra over any field-like element type.
+"""Exact linear algebra over Scalar entries.
 
-Matrices are tuples of tuples (rows) of elements supporting +, -, *, /,
-unary -, and truthiness (nonzero test).  Used with Scalar for symbolic work
-and with QI for the constant-matrix pencil engine.  Subspaces are kept in
+Matrices are tuples of tuples (rows) of Scalars; elimination uses only +,
+-, *, /, unary - and truthiness (nonzero test).  The pencil engine ranks
+constant matrices with its own fraction-free integer elimination and uses
+this module for matrices with free parameters.  Subspaces are kept in
 reduced row echelon form, so subspace equality is structural.
 """
 
@@ -50,9 +51,9 @@ def mat_vec(m, v):
     return tuple(_dot(row, v) for row in m)
 
 
-def identity(n, one=SC_ONE, zero=SC_ZERO):
+def identity(n):
     return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
+        tuple(SC_ONE if i == j else SC_ZERO for j in range(n)) for i in range(n)
     )
 
 
@@ -64,14 +65,14 @@ def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
-def block_diag(blocks, zero=SC_ZERO):
+def block_diag(blocks):
     n = sum(shape(b)[0] for b in blocks)
     rows = []
     off = 0
     for b in blocks:
         k = shape(b)[0]
         for r in b:
-            rows.append(tuple([zero] * off + list(r) + [zero] * (n - off - k)))
+            rows.append(tuple([SC_ZERO] * off + list(r) + [SC_ZERO] * (n - off - k)))
         off += k
     return tuple(rows)
 
@@ -110,7 +111,7 @@ def rank(rows):
     return len(rref(rows)[0])
 
 
-def nullspace(rows, ncols=None, one=SC_ONE, zero=SC_ZERO):
+def nullspace(rows, ncols=None):
     """Basis (tuple of row vectors) of the right null space."""
     if ncols is None:
         ncols = shape(rows)[1]
@@ -118,8 +119,8 @@ def nullspace(rows, ncols=None, one=SC_ONE, zero=SC_ZERO):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
+        v = [SC_ZERO] * ncols
+        v[fc] = SC_ONE
         for r, pc in enumerate(pivots):
             x = red[r][fc]
             if x:
@@ -128,11 +129,11 @@ def nullspace(rows, ncols=None, one=SC_ONE, zero=SC_ZERO):
     return tuple(basis)
 
 
-def inverse(rows, one=SC_ONE, zero=SC_ZERO):
+def inverse(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("inverse requires a square matrix")
-    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
+    aug = [list(r) + list(e) for r, e in zip(rows, identity(n))]
     red, pivots = rref(aug)
     if len(red) < n or list(pivots[:n]) != list(range(n)):
         raise SingularMatrix("matrix is not invertible")

@@ -36,10 +36,15 @@ from functools import lru_cache
 from math import factorial, gcd, isqrt, lcm
 from operator import floordiv, truediv
 
-from .blocks import CanonicalBlock, canonical_block_matrix, normalize_blocks
+from .blocks import (
+    CanonicalBlock,
+    canonical_block_matrix,
+    kinds_for_size,
+    normalize_blocks,
+)
 from .errors import DictionaryMiss, DimensionMismatch, ParameterNotSupported
 from .linalg import det, mat_mul, nullspace, rank as mat_rank, rref, transpose
-from .scalars import QI, QI_ONE, SC_ONE, SC_ZERO, Scalar
+from .scalars import B_PARAM_EXCLUDED, QI, QI_ONE, SC_ONE, SC_ZERO, Scalar
 
 # Entries kept by each cache in this module: bounds the memory of a
 # long-running process that sees many distinct matrices.
@@ -813,33 +818,6 @@ def block_invariants(b: CanonicalBlock) -> PencilInvariants:
     return pencil_invariants(canonical_block_matrix(b))
 
 
-def _candidate_regular_blocks(divisor, exp, max_size):
-    """Blocks whose finite divisors could include (divisor, exp)."""
-    out = []
-    coeffs, deg = divisor, len(divisor) - 1
-    if deg == 1:
-        root = -Scalar.parse(coeffs[0]).as_qi()
-        cands = {-root}
-        if root:
-            cands.add(-root.inverse())
-        for c in cands:
-            if c == QI_ONE or c == QI(-1):
-                continue
-            if 2 * exp <= max_size:
-                out.append(CanonicalBlock("B", 2 * exp, Scalar.const(c)))
-    for size in range(1, max_size + 1):
-        if size % 2 == 1:
-            out.append(CanonicalBlock("C", size))
-        else:
-            k = size // 2
-            out.append(CanonicalBlock("E", size))
-            if k % 2 == 0:
-                out.append(CanonicalBlock("D", size))
-            else:
-                out.append(CanonicalBlock("F", size))
-    return out
-
-
 def canonical_decomposition(M):
     """The unique multiset of canonical blocks whose sum is congruent to M."""
     _require_constant(M)
@@ -867,58 +845,46 @@ def _decompose_cached(inv: PencilInvariants):
 
 
 def _decompose(inv: PencilInvariants):
+    """The blocks, read off the invariants by the catalogue in the blocks
+    docstring: the minimal indices give the A blocks, the divisors at the
+    self-reciprocal roots -1 and 1 give C and D, and E and F, and every other
+    (t + c)^e pairs with a (t + 1/c)^e, or for c = 0 with an infinite
+    divisor of exponent e, into a B_(2e)(c).  Whatever is left has no block
+    sum: a divisor of degree >= 2, an unmatched partner, an odd count where
+    a pair is needed, or a stray infinite divisor.
+    """
     if inv.left_indices != inv.right_indices:
         raise DictionaryMiss(
             "left and right minimal indices differ; not a congruence pencil"
         )
-    blocks = [CanonicalBlock("A", 2 * k + 1) for k in inv.right_indices]
-    rank_left = inv.rank - sum(block_invariants(b).rank for b in blocks)
-    size_left = inv.size - sum(b.size for b in blocks)
-    found = _search_regular(
-        Counter(inv.finite_divisors),
-        Counter(inv.infinite_divisors),
-        rank_left,
-        size_left,
+    miss = DictionaryMiss(
+        f"no canonical block multiset matches the invariants of size {inv.size}"
     )
-    if found is None:
-        raise DictionaryMiss(
-            f"no canonical block multiset matches the invariants of size {inv.size}"
-        )
-    blocks.extend(found)
+    blocks = [CanonicalBlock("A", 2 * k + 1) for k in inv.right_indices]
+    if any(len(cs) != 2 for cs, _ in inv.finite_divisors):
+        raise miss
+    linear = Counter((Scalar.parse(cs[0]).as_qi(), e) for cs, e in inv.finite_divisors)
+    infinite = Counter(inv.infinite_divisors)
+    while linear:
+        (c, e), count = linear.popitem()
+        if c in B_PARAM_EXCLUDED:
+            single, paired = ("C", "D") if c == QI_ONE else ("E", "F")
+            if single in kinds_for_size(e):
+                blocks += [CanonicalBlock(single, e)] * count
+            elif count % 2:
+                raise miss
+            else:  # then paired exists at size 2e
+                blocks += [CanonicalBlock(paired, 2 * e)] * (count // 2)
+            continue
+        partners = linear.pop((c.inverse(), e), 0) if c else infinite.pop(e, 0)
+        if partners != count:
+            raise miss
+        blocks += [CanonicalBlock("B", 2 * e, Scalar.const(c))] * count
+    if infinite:
+        raise miss
     result = normalize_blocks(blocks)
     _verify_decomposition(result, inv)
     return result
-
-
-def _search_regular(divs: Counter, infs: Counter, rank_left, size_left):
-    divs = +divs
-    infs = +infs
-    if not divs and not infs:
-        return [] if rank_left == 0 and size_left == 0 else None
-    if not divs:
-        return None  # leftover infinite divisors can only ride with finite ones
-    div, exp = max(divs)
-    for cand in _candidate_regular_blocks(div, exp, size_left):
-        binv = block_invariants(cand)
-        need_fin = Counter(binv.finite_divisors)
-        need_inf = Counter(binv.infinite_divisors)
-        if (div, exp) not in need_fin:
-            continue
-        if binv.rank > rank_left or cand.size > size_left:
-            continue
-        if any(need_fin[k] > divs[k] for k in need_fin):
-            continue
-        if any(need_inf[k] > infs[k] for k in need_inf):
-            continue
-        rest = _search_regular(
-            divs - need_fin,
-            infs - need_inf,
-            rank_left - binv.rank,
-            size_left - cand.size,
-        )
-        if rest is not None:
-            return [cand] + rest
-    return None
 
 
 def _verify_decomposition(blocks, inv: PencilInvariants):

@@ -271,7 +271,6 @@ def test_verify_takes_derivable_facts_from_the_form_precondition(monkeypatch):
     for name in (
         "lower_central_series",
         "leib_ideal",
-        "quotient_bracket_is_skew",
         "derived_subalgebra",
     ):
         monkeypatch.setattr(classify_module, name, implied)

@@ -18,6 +18,7 @@ from leibniz_lab.pencil import (
     block_invariants,
     canonical_decomposition,
     congruence_transform,
+    decomposition_from_invariants,
     is_congruent,
     pencil_invariants,
 )
@@ -392,6 +393,42 @@ def test_dictionary_miss_on_unreachable_input():
     assert depths[1] == depths[0]
 
 
+def test_decomposition_reads_blocks_off_the_invariants():
+    """The blocks come from the invariants, not from trying candidates: the
+    engine runs once on each distinct block of the answer, to re-check it."""
+    from leibniz_lab import pencil
+
+    rng = random.Random(13)
+    for blocks in ([B("C", 7), B("C", 1)], [B("D", 8), B("E", 2)], [B("E", 8), B("C", 3)]):
+        pencil.block_invariants.cache_clear()
+        pencil._decompose_cached.cache_clear()
+        M = direct_sum_matrix(blocks)
+        Smat = _rand_unimodular(rng, len(M))
+        dec = canonical_decomposition(congruence_transform(M, Smat))
+        assert sorted(dec, key=str) == sorted(blocks, key=str)
+        assert pencil.block_invariants.cache_info().misses == len(set(dec))
+
+
+def _lone(size, rank, finite=(), infinite=()):
+    return PencilInvariants(size, rank, (), (), finite, infinite)
+
+
+@pytest.mark.parametrize(
+    "inv",
+    [
+        _lone(1, 1, finite=((("3", "1"), 1),)),  # t + 3 without t + 1/3
+        _lone(2, 2, finite=((("1", "1"), 2),)),  # (t + 1)^2 without its pair
+        _lone(1, 1, finite=((("-1", "1"), 1),)),  # t - 1 without its pair
+        _lone(1, 0, infinite=(1,)),  # infinite divisor without the root 0
+        _lone(2, 2, finite=((("1", "1", "1"), 1),)),  # t^2 + t + 1
+    ],
+)
+def test_invariants_without_a_block_sum_miss(inv):
+    assert inv.check_consistency()
+    with pytest.raises(DictionaryMiss, match="no canonical block multiset"):
+        decomposition_from_invariants(inv)
+
+
 def test_has_zero_summand_iff_a1_in_decomposition():
     from leibniz_lab.blocks import has_zero_summand
 
@@ -438,6 +475,7 @@ def test_invariants_separate_all_multisets_up_to_7():
                     blocks.append(b)
             inv = pencil_invariants(direct_sum_matrix(blocks))
             key = normalize_blocks(blocks)
+            assert decomposition_from_invariants(inv) == key
             if inv in seen:
                 assert seen[inv] == key, (
                     f"invariant collision: {seen[inv]} vs {key}"
