@@ -17,23 +17,10 @@ from leibniz_lab.formats import (  # noqa: E402
     algebra_to_doc,
     dumps_canonical,
     store_table,
+    store_table_md,
 )
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "out"
-
-
-def md_lines(entries):
-    lines = []
-    for entry in entries:
-        names = entry.algebra.basis_names()
-        prods = []
-        for (i, j), terms in sorted(entry.algebra.products().items()):
-            for k, c in sorted(terms):
-                cs = str(c)
-                coeff = "" if cs == "1" else ("-" if cs == "-1" else cs)
-                prods.append(f"[{names[i-1]},{names[j-1]}]={coeff}{names[k-1]}")
-        lines.append(f"{entry.label}: " + ", ".join(prods))
-    return "\n".join(lines) + "\n"
 
 
 def main():
@@ -46,7 +33,7 @@ def main():
             for e in entries
         ]
         (OUT / f"nilpotent_dim{n}.json").write_text(store_table(docs))
-        (OUT / f"nilpotent_dim{n}.md").write_text(md_lines(entries))
+        (OUT / f"nilpotent_dim{n}.md").write_text(store_table_md(entries))
         print(f"dim {n}: {len(entries)} entries")
     for name, entries in (
         ("solvable_dim2", cls.solvable_dim1_table()),
@@ -54,7 +41,7 @@ def main():
     ):
         docs = [algebra_to_doc(e.algebra) for e in entries]
         (OUT / f"{name}.json").write_text(store_table(docs))
-        (OUT / f"{name}.md").write_text(md_lines(entries))
+        (OUT / f"{name}.md").write_text(store_table_md(entries))
         print(f"{name}: {len(entries)} entries")
     for n in (4, 5, 6, 7):
         report = cls.match_paper_table(n)

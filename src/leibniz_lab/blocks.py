@@ -24,15 +24,17 @@ import re
 from dataclasses import dataclass
 
 from .algebra import StructureConstants, bracket, derived_subalgebra
-from .errors import InvalidBlock, PreconditionFailed
-from .linalg import block_diag, identity, rank, transpose
+from .errors import DenominatorVanishes, InvalidBlock, PreconditionFailed
+from .linalg import block_diag, identity, rank, rank_qi, transpose
 from .scalars import (
     B_PARAM_EXCLUDED,
+    QI,
     SC_ONE,
     SC_ZERO,
     Scalar,
     b_constraint,
     parse_scalar,
+    substitute,
 )
 
 
@@ -223,12 +225,38 @@ def form_from_algebra(A: StructureConstants):
 
 
 def has_zero_summand(M) -> bool:
-    """True iff some nonzero v has Mv = 0 and M^T v = 0 (split detector)."""
+    """True iff some nonzero v has Mv = 0 and M^T v = 0 (split detector),
+    for generic values of the parameters.
+
+    [M; M^T] is first ranked in integers at one point, where the k-th
+    parameter in name order takes the value k + 2: distinct values, none
+    of them 0 or +-1, the special values of a B parameter.  A rank at a
+    point is at most the generic rank, so full rank there proves that there
+    is no zero summand.  Only a lower rank at the point, or a denominator
+    vanishing there, leads to the generic Scalar rank.
+    """
     m = len(M)
     if m == 0:
         return False
+    values = _at_split_point(M)
+    if values is not None and rank_qi(values + transpose(values)) == m:
+        return False
     stacked = tuple(M) + tuple(transpose(M))
     return rank(stacked) < m
+
+
+def _at_split_point(M):
+    """M at the point of has_zero_summand, as a QI matrix, or None if a
+    denominator vanishes there."""
+    names = sorted({p for row in M for c in row if not c.is_constant() for p in c.parameters()})
+    point = {p: QI(k) for k, p in enumerate(names, start=2)}
+    try:
+        return tuple(
+            tuple(c.as_qi() if c.is_constant() else substitute(c, point).as_qi() for c in row)
+            for row in M
+        )
+    except DenominatorVanishes:
+        return None
 
 
 def b_param_normalize(c: Scalar) -> Scalar:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from itertools import combinations_with_replacement, permutations
 
@@ -122,8 +123,10 @@ class ClassificationEntry:
     family: str | None = None  # tag for the solvable cases
 
 
+@lru_cache(maxsize=None)
 def nilpotent_table(n: int):
-    """One entry per non-Lie block multiset of total size n - 1."""
+    """One entry per non-Lie block multiset of total size n - 1, as a
+    tuple.  Entries are immutable, so each table is built once per process."""
     if n not in NILPOTENT_COUNTS:
         raise ValueError(f"supported dimensions are 4..8, got {n}")
     entries = []
@@ -135,7 +138,7 @@ def nilpotent_table(n: int):
         label = f"nilpotent-dim{n}-item{item}"
         algebra = algebra_from_blocks(ms.blocks, label=label)
         entries.append(ClassificationEntry(algebra, ms.blocks, label))
-    return entries
+    return tuple(entries)
 
 
 def solvable_dim1_table():
@@ -240,12 +243,9 @@ def _structural_failures(A: StructureConstants, precondition: str):
     chain = lower_central_series(A)
     if not chain[-1].is_zero():
         fails.append("algebra is not nilpotent")
-    derived = derived_subalgebra(A)
-    if derived.dim != 1:
-        fails.append(f"dim A^2 = {derived.dim}")
-    if leib != derived:
+    if leib != derived_subalgebra(A):
         fails.append("Leib(A) differs from A^2")
-    fails.append(precondition)
+    fails.append(precondition)  # names dim A^2 when it is not 1
     if not _last_vector_annihilates(A):
         fails.append("x_n does not annihilate the algebra")
     if not (len(chain) == 3 and chain[1].dim == 1 and chain[2].is_zero()):
@@ -302,12 +302,14 @@ def _match_key(A: StructureConstants):
     parameter count and the entry signature: the multiset of (coefficient,
     on the diagonal) over the nonzero products, parametric ones as "<param>".
     """
-    params = A.parameters()
-    signature = Counter(
-        ("<param>" if c.parameters() else str(c), i == j)
-        for (i, j), terms in A.products().items()
-        for _, c in terms
-    )
+    names = set()
+    signature = Counter()
+    for (i, j), terms in A.products().items():
+        for _, c in terms:
+            cp = c.parameters()
+            names.update(cp)
+            signature["<param>" if cp else str(c), i == j] += 1
+    params = tuple(sorted(names))
     return (A.dim, len(params), frozenset(signature.items())), params
 
 
@@ -330,7 +332,7 @@ def _rename_tensor(A: StructureConstants, mapping):
     if not mapping:
         return A.tensor
     return tuple(
-        tuple(tuple(c.rename_params(mapping) for c in vec) for vec in row)
+        tuple(tuple(c.rename_params(mapping) if c else c for c in vec) for vec in row)
         for row in A.tensor
     )
 

@@ -20,6 +20,7 @@ from .formats import (
     load_algebra,
     load_matrix,
     store_table,
+    store_table_md,
 )
 from .iso import iso_invariants, isomorphic_dim1_nilpotent, random_basis_fuzz
 from .pencil import canonical_decomposition
@@ -33,6 +34,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise MalformedFile(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path} is not UTF-8: byte {exc.start} cannot be decoded")
 
 
 def cmd_analyze(args):
@@ -114,20 +117,7 @@ def cmd_classify(args):
         ]
         sys.stdout.write(store_table(docs))
     else:
-        for entry in entries:
-            prods = []
-            names = entry.algebra.basis_names()
-            for (i, j), terms in sorted(entry.algebra.products().items()):
-                for k, c in sorted(terms):
-                    cs = str(c)
-                    if cs == "1":
-                        coeff = ""
-                    elif cs == "-1":
-                        coeff = "-"
-                    else:
-                        coeff = f"({cs})" if any(op in cs[1:] for op in "+-") else cs
-                    prods.append(f"[{names[i - 1]},{names[j - 1]}]={coeff}{names[k - 1]}")
-            sys.stdout.write(f"{entry.label}: " + ", ".join(prods) + "\n")
+        sys.stdout.write(store_table_md(entries))
     return 0
 
 

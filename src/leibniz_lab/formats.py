@@ -121,6 +121,29 @@ def store_table(entries_docs) -> str:
     return dumps_canonical(entries_docs)
 
 
+def store_table_md(entries) -> str:
+    """The --format md text of table entries: per entry one line with its
+    label and its nonzero products [x_i,x_j]=c x_k, where a coefficient 1
+    or -1 is written as its sign and one with an inner + or - is
+    parenthesized."""
+    lines = []
+    for entry in entries:
+        names = entry.algebra.basis_names()
+        prods = []
+        for (i, j), terms in sorted(entry.algebra.products().items()):
+            for k, c in sorted(terms):
+                cs = str(c)
+                if cs == "1":
+                    coeff = ""
+                elif cs == "-1":
+                    coeff = "-"
+                else:
+                    coeff = f"({cs})" if any(op in cs[1:] for op in "+-") else cs
+                prods.append(f"[{names[i - 1]},{names[j - 1]}]={coeff}{names[k - 1]}")
+        lines.append(f"{entry.label}: " + ", ".join(prods) + "\n")
+    return "".join(lines)
+
+
 def load_table(text: str):
     docs = _load_json(text)
     if not isinstance(docs, list):

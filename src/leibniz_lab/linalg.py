@@ -1,16 +1,25 @@
-"""Exact linear algebra over Scalar entries.
+"""Exact linear algebra over Scalar entries, and an integer kernel.
 
 Matrices are tuples of tuples (rows) of Scalars; elimination uses only +,
--, *, /, unary - and truthiness (nonzero test).  The pencil engine ranks
-constant matrices with its own fraction-free integer elimination and uses
-this module for matrices with free parameters.  Subspaces are kept in
+-, *, /, unary - and truthiness (nonzero test).  Subspaces are kept in
 reduced row echelon form, so subspace equality is structural.
+
+The integer kernel is fraction-free elimination on lists of int lists
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968): rank_int, bareiss_det_int and
+mul_int, with gaussian_int_matrix and realify to bring a constant Q(i)
+matrix to integers.  The pencil engine ranks constant pencils with it.
+rank_qi ranks one constant Q(i) matrix with it; blocks.has_zero_summand
+uses it to rank a form at one integer point of its parameters, and falls
+back to the Scalar rank only when the rank there is low.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .errors import DimensionMismatch, SingularMatrix
-from .scalars import SC_ONE, SC_ZERO, Scalar
+from .scalars import QI, SC_ONE, SC_ZERO, Scalar
 
 
 def freeze(rows):
@@ -167,6 +176,127 @@ def det(rows):
                 f = m[i][k] / p
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     return acc if sign > 0 else -acc
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel: matrices are lists of int lists
+# ---------------------------------------------------------------------------
+def bareiss_det_int(m):
+    """Determinant of a square integer matrix (a list of int lists), by
+    Bareiss's fraction-free elimination: every division is exact."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [row[:] for row in m]
+    prev = 1
+    sign = 1
+    for c in range(n):
+        piv = None
+        for i in range(c, n):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        pv = m[c][c]
+        for i in range(c + 1, n):
+            mic = m[i][c]
+            row_i = m[i]
+            row_c = m[c]
+            for j in range(c + 1, n):
+                row_i[j] = (pv * row_i[j] - mic * row_c[j]) // prev
+            row_i[c] = 0
+        prev = pv
+    return sign * prev
+
+
+def rank_int(m):
+    """(rank, pivot row indices, pivot column indices) of an integer matrix
+    m, a list of int lists that the call reduces in place: its first rank
+    rows end as the pivot rows, in echelon form, and the others as zero rows.
+
+    Fraction-free elimination: a row with a nonzero entry x in the pivot
+    column becomes pv*row - x*pivot_row divided by its content, and the
+    other rows are left alone.  Rows are only ever scaled by nonzero
+    integers, so the pivots are those of elimination over Q.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    order = list(range(nrows))
+    cols = []
+    for c in range(ncols):
+        r = len(cols)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        order[r], order[piv] = order[piv], order[r]
+        pv = m[r][c]
+        top = m[r][c + 1 :]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            x = row[c]
+            if x:
+                tail = [pv * a - x * b for a, b in zip(row[c + 1 :], top)]
+                g = gcd(*tail)
+                if g > 1:
+                    tail = [a // g for a in tail]
+                row[c:] = [0] + tail
+        cols.append(c)
+        if len(cols) == nrows:
+            break
+    return len(cols), order[: len(cols)], cols
+
+
+def mul_int(A, B):
+    """A*B for integer matrices (lists of int lists), by rows of B."""
+    out = []
+    for row in A:
+        acc = [0] * len(B[0])
+        for a, brow in zip(row, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+def gaussian_int_matrix(M):
+    """c*M as a primitive Gaussian integer matrix (re rows, im rows) of int
+    tuples, for M with QI or constant Scalar entries, c the rational that
+    clears the denominators and the content.
+
+    c*M has the rank of M, and t*cM + u*cM^T = c(t*M + u*M^T), so every
+    pencil invariant is unchanged too.
+    """
+    Q = [[x if isinstance(x, QI) else x.as_qi() for x in row] for row in M]
+    den = lcm(*(f.denominator for row in Q for x in row for f in (x.re, x.im)))
+    re = [[x.re.numerator * (den // x.re.denominator) for x in row] for row in Q]
+    im = [[x.im.numerator * (den // x.im.denominator) for x in row] for row in Q]
+    g = gcd(*(v for part in (re, im) for row in part for v in row)) or 1
+    return tuple(tuple(tuple(v // g for v in row) for row in part) for part in (re, im))
+
+
+def realify(*mats):
+    """Gaussian integer matrices (re rows, im rows) as integer matrices, and
+    w: a rank over Q(i) of any block matrix made of them is its rank over Q
+    divided by w.  If all are real, w = 1 and X becomes Re X; otherwise
+    w = 2 and X becomes its realification [[Re, -Im], [Im, Re]], the matrix
+    of X on Q^2n."""
+    if not any(any(map(any, im)) for _, im in mats):
+        return [[list(row) for row in re] for re, _ in mats], 1
+    return [
+        [[*a, *(-y for y in b)] for a, b in zip(re, im)] + [[*b, *a] for a, b in zip(re, im)]
+        for re, im in mats
+    ], 2
+
+
+def rank_qi(M):
+    """Rank over Q(i) of a matrix with QI or constant Scalar entries."""
+    (m,), w = realify(gaussian_int_matrix(M))
+    return rank_int(m)[0] // w
 
 
 class Subspace:

@@ -19,8 +19,9 @@ vectors times the slope, stacked on the value, a matrix N columns wide
 whatever the order, instead of the whole block matrix.
 
 The engine runs on two kinds of matrix.  A constant matrix is scaled to a
-Gaussian integer matrix and ranked fraction-free, a rank over K = Q(i) being
-half the integer rank of the realification [[Re, -Im], [Im, Re]].  A matrix
+Gaussian integer matrix and ranked fraction-free by the integer kernel of
+linalg, a rank over K = Q(i) being half the integer rank of the
+realification [[Re, -Im], [Im, Re]].  A matrix
 with free parameters is ranked by Scalar row reduction over K = Q(i)(params),
 so its invariants are those of generic parameter values.  sympy supplies
 exact factorization: of an integer divisor multiple over Z for a constant
@@ -43,7 +44,19 @@ from .blocks import (
     normalize_blocks,
 )
 from .errors import DictionaryMiss, DimensionMismatch, ParameterNotSupported
-from .linalg import det, mat_mul, nullspace, rank as mat_rank, rref, transpose
+from .linalg import (
+    bareiss_det_int as _bareiss_det_int,
+    det,
+    gaussian_int_matrix as _gaussian_int_matrix,
+    mat_mul,
+    mul_int as _mul_int,
+    nullspace,
+    rank as mat_rank,
+    rank_int as _rank_int,
+    realify as _realify,
+    rref,
+    transpose,
+)
 from .scalars import B_PARAM_EXCLUDED, QI, QI_ONE, SC_ONE, SC_ZERO, Scalar
 
 # Entries kept by each cache in this module: bounds the memory of a
@@ -224,86 +237,6 @@ def _int_poly_gcd(a, b):
     return _int_poly_primitive(a)
 
 
-def _bareiss_det_int(m):
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    prev = 1
-    sign = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        pv = m[c][c]
-        for i in range(c + 1, n):
-            mic = m[i][c]
-            row_i = m[i]
-            row_c = m[c]
-            for j in range(c + 1, n):
-                row_i[j] = (pv * row_i[j] - mic * row_c[j]) // prev
-            row_i[c] = 0
-        prev = pv
-    return sign * prev
-
-
-def _rank_int(m):
-    """(rank, pivot row indices, pivot column indices) of an integer matrix
-    m, a list of int lists that the call reduces in place: its first rank
-    rows end as the pivot rows, in echelon form, and the others as zero rows.
-
-    Fraction-free elimination: a row with a nonzero entry x in the pivot
-    column becomes pv*row - x*pivot_row divided by its content, and the
-    other rows are left alone.  Rows are only ever scaled by nonzero
-    integers, so the pivots are those of elimination over Q.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    order = list(range(nrows))
-    cols = []
-    for c in range(ncols):
-        r = len(cols)
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        order[r], order[piv] = order[piv], order[r]
-        pv = m[r][c]
-        top = m[r][c + 1 :]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            x = row[c]
-            if x:
-                tail = [pv * a - x * b for a, b in zip(row[c + 1 :], top)]
-                g = gcd(*tail)
-                if g > 1:
-                    tail = [a // g for a in tail]
-                row[c:] = [0] + tail
-        cols.append(c)
-        if len(cols) == nrows:
-            break
-    return len(cols), order[: len(cols)], cols
-
-
-def _mul_int(A, B):
-    """A*B for integer matrices (lists of int lists), by rows of B."""
-    out = []
-    for row in A:
-        acc = [0] * len(B[0])
-        for a, brow in zip(row, B):
-            if a:
-                acc = [x + a * y for x, y in zip(acc, brow)]
-        out.append(acc)
-    return out
-
-
 def _interpolate(values, from_int, div):
     """Coefficients, low to high, of the polynomial of degree < len(values)
     that takes values[k] at t = k; div(x, y) divides exactly.
@@ -333,20 +266,6 @@ def _interpolate(values, from_int, div):
 # ---------------------------------------------------------------------------
 # Gaussian integer matrices: pairs (real rows, imaginary rows) of int lists
 # ---------------------------------------------------------------------------
-def _gaussian_int_matrix(M):
-    """c*M as a primitive Gaussian integer matrix (re rows, im rows) of int
-    tuples, c the rational that clears the denominators and the content.
-
-    t*cM + u*cM^T = c(t*M + u*M^T), so every pencil invariant is unchanged.
-    """
-    Q = [[x if isinstance(x, QI) else x.as_qi() for x in row] for row in M]
-    den = lcm(*(f.denominator for row in Q for x in row for f in (x.re, x.im)))
-    re = [[x.re.numerator * (den // x.re.denominator) for x in row] for row in Q]
-    im = [[x.im.numerator * (den // x.im.denominator) for x in row] for row in Q]
-    g = gcd(*(v for part in (re, im) for row in part for v in row)) or 1
-    return tuple(tuple(tuple(v // g for v in row) for row in part) for part in (re, im))
-
-
 def _gcomb(*terms):
     """Sum of c*X over (c, X): c = (re, im) a Gaussian integer, X a matrix."""
     re0 = terms[0][1][0]
@@ -406,19 +325,7 @@ class _GaussianPencil:
             for k in (0, 1)
         )
 
-    @staticmethod
-    def realify(*mats):
-        """mats as integer matrices, and w: a rank over Q(i) of any block
-        matrix made of them is its rank over Q divided by w.  If all are
-        real, w = 1 and X becomes Re X; otherwise w = 2 and X becomes its
-        realification [[Re, -Im], [Im, Re]], the matrix of X on Q^2n."""
-        if not any(any(map(any, im)) for _, im in mats):
-            return [[list(row) for row in re] for re, _ in mats], 1
-        return [
-            [[*a, *(-y for y in b)] for a, b in zip(re, im)] + [[*b, *a] for a, b in zip(re, im)]
-            for re, im in mats
-        ], 2
-
+    realify = staticmethod(_realify)
     mul = staticmethod(_mul_int)
 
     @staticmethod

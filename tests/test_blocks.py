@@ -23,8 +23,9 @@ from leibniz_lab.blocks import (
     parse_block_name,
 )
 from leibniz_lab.errors import InvalidBlock, PreconditionFailed
-from leibniz_lab.iso import isomorphic_dim1_nilpotent
-from leibniz_lab.linalg import scalar_matrix
+from leibniz_lab.iso import isomorphic_dim1_nilpotent, random_invertible_matrix
+from leibniz_lab.linalg import block_diag, rank, scalar_matrix, transpose
+from leibniz_lab.pencil import congruence_transform
 from leibniz_lab.scalars import Scalar
 
 S = Scalar.parse
@@ -244,6 +245,98 @@ def test_has_zero_summand():
     assert not has_zero_summand(canonical_block_matrix(B("A", 3)))
     assert not has_zero_summand(canonical_block_matrix(B("B", 2, "c")))  # generic c
     assert has_zero_summand(scalar_matrix([["0"]]))
+
+
+def _split_reference(M):
+    """The Scalar-rank split test: rank of [M; M^T] over Q(i)(params)."""
+    m = len(M)
+    return m > 0 and rank(tuple(M) + tuple(transpose(M))) < m
+
+
+def _split_cases():
+    """Seeded forms for the split test: the table forms, congruence
+    transforms of block sums with and without A1, with parametric and with
+    constant B, and forms built around the point the test ranks at (c = 2,
+    or c1 = 2 and c2 = 3): most drop rank there, one has a denominator that
+    vanishes there."""
+    from leibniz_lab.classify import NILPOTENT_COUNTS, block_multisets, nilpotent_table
+
+    rng = random.Random(5)
+    forms = [
+        form_from_algebra(e.algebra)[0]
+        for n in sorted(NILPOTENT_COUNTS)
+        for e in nilpotent_table(n)
+    ]
+    constants = [S(x) for x in ("2", "-3", "1/2", "0", "i", "1+i", "-2/3")]
+    for m in range(1, 6):
+        for ms in block_multisets(m, include_a1=True):
+            M = direct_sum_matrix(ms.blocks)
+            names = sorted({p for b in ms.blocks if b.parameter for p in b.parameter.parameters()})
+            bound = [
+                CanonicalBlock(b.kind, b.size, rng.choice(constants)) if b.kind == "B" else b
+                for b in ms.blocks
+            ]
+            for blocks in (ms.blocks, bound) if names else (ms.blocks,):
+                P = random_invertible_matrix(m, rng)
+                forms.append(congruence_transform(direct_sum_matrix(blocks), P))
+            forms.append(M)
+    drops = [
+        [[S("c - 2")]],
+        [[S("c - 2"), S("0")], [S("0"), S("0")]],
+        [[S("(c - 2)/(c + 5)"), S("0")], [S("0"), S("c")]],
+        [[S("1/(c - 2)"), S("0")], [S("0"), S("1")]],
+        [[S("c1 - 2"), S("0")], [S("0"), S("c2 - 3")]],
+        [[S("c2 - 3"), S("c1 - 2")], [S("c1 - 2"), S("c2 - 3")]],
+    ]
+    drop_blocks = [
+        [B("B", 2, "c - 2")],
+        [B("B", 2, "c - 2"), B("A", 1)],
+        [B("B", 2, "c"), B("C", 1)],
+        [B("B", 4, "c1 - 2"), B("B", 2, "c2")],
+    ]
+    for blocks in drop_blocks:
+        M = direct_sum_matrix(blocks)
+        drops.append(M)
+        drops.append(block_diag([scalar_matrix([["c - 2"]]), M]))
+    for D in drops:
+        D = scalar_matrix(D)
+        forms.append(D)
+        if len(D) <= 4:  # a dense parametric 6x6 takes the Scalar rank seconds
+            for _ in range(3):
+                forms.append(congruence_transform(D, random_invertible_matrix(len(D), rng)))
+    return forms
+
+
+def test_split_test_agrees_with_the_scalar_rank(monkeypatch):
+    import leibniz_lab.blocks as blocks_module
+
+    generic = []
+
+    def counted(rows, inner=blocks_module.rank):
+        generic.append(len(rows))
+        return inner(rows)
+
+    monkeypatch.setattr(blocks_module, "rank", counted)
+    forms = _split_cases()
+    assert len(forms) >= 400
+    answers = [has_zero_summand(M) for M in forms]
+    splits = sum(answers)
+    # every split answer takes the generic rank, and so do the rank drops
+    assert 0 < splits < len(generic) < len(forms)
+    monkeypatch.undo()
+    assert answers == [_split_reference(M) for M in forms]
+
+
+def test_split_test_ignores_a_rank_drop_at_its_point():
+    # c = 2 is where the test ranks first: there [[c - 2]] + B2(c) and its
+    # dense congruence transform have a zero summand, and 1/(c - 2) has no value
+    drop = block_diag([scalar_matrix([["c - 2"]]), canonical_block_matrix(B("B", 2, "c"))])
+    dense = congruence_transform(drop, random_invertible_matrix(3, random.Random(2)))
+    for M in (drop, dense):
+        assert not has_zero_summand(M)
+        assert has_zero_summand(tuple(tuple(x.substitute({"c": 2}) for x in row) for row in M))
+    assert not has_zero_summand(scalar_matrix([["1/(c - 2)", "0"], ["0", "1"]]))
+    assert has_zero_summand(block_diag([scalar_matrix([["c - 2"]]), scalar_matrix([["0"]])]))
 
 
 def test_b_param_normalize():

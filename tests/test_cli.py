@@ -208,6 +208,17 @@ def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, verb, text):
     assert len(err) <= 200  # a bad cell is quoted, not echoed whole
 
 
+@pytest.mark.parametrize("verb", ["analyze", "canonical-form", "check-iso", "fuzz"])
+def test_non_utf8_file_exits_2_with_one_line(tmp_path, capsys, verb):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00")
+    paths = [str(path)] * (2 if verb == "check-iso" else 1)
+    code, out, err = run_cli([verb, *paths], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "UTF-8" in err
+
+
 def test_analyze_perfect_lie_algebra(tmp_path, capsys):
     # sl2: [h,e] = 2e, [h,f] = -2f, [e,f] = h, skew; perfect, so neither
     # nilpotent nor solvable

@@ -13,11 +13,12 @@ from leibniz_lab.linalg import (
     mat_vec,
     nullspace,
     rank,
+    rank_qi,
     rref,
     scalar_matrix,
     transpose,
 )
-from leibniz_lab.scalars import SC_ONE, SC_ZERO, Scalar
+from leibniz_lab.scalars import QI, SC_ONE, SC_ZERO, Scalar
 
 
 def _rand_matrix(rng, n, m, lo=-3, hi=3):
@@ -129,3 +130,32 @@ def test_transpose_and_matvec():
     assert transpose(transpose(m)) == m
     v = scalar_matrix([["1", "-1"]])[0]
     assert mat_vec(m, v) == scalar_matrix([["-1", "-1", "-1"]])[0]
+
+
+def test_rank_qi_agrees_with_the_scalar_rank():
+    """Seeded Q(i) matrices of low rank: products of a tall and a wide
+    factor, with real, rational and Gaussian entries."""
+    rng = random.Random(8)
+    parts = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+    seen_im = False
+    for trial in range(120):
+        n, m, r = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
+
+        def entry():
+            im = rng.choice(parts) if trial % 3 == 0 else 0
+            return Scalar.const(QI(rng.choice(parts), im))
+
+        if r == 0:
+            M = tuple(tuple(SC_ZERO for _ in range(m)) for _ in range(n))
+        else:
+            left = tuple(tuple(entry() for _ in range(r)) for _ in range(n))
+            right = tuple(tuple(entry() for _ in range(m)) for _ in range(r))
+            M = mat_mul(left, right)
+        values = [[x.as_qi() for x in row] for row in M]
+        seen_im = seen_im or any(x.im for row in values for x in row)
+        assert rank_qi(values) == rank(M)
+    assert seen_im
+    # rank 1 over Q(i), though its real and imaginary parts have rank 2
+    assert rank_qi([[QI(1), QI(0, 1)], [QI(0, 1), QI(-1)]]) == 1
+    assert rank_qi([]) == 0
+
